@@ -207,6 +207,9 @@ FleetView Cluster::fleet_view() const {
   v.draining = draining_.data();
   v.routable = routable_.data();
   v.routable_count = routable_.size();
+  v.revision = revision_;
+  v.touched = touched_.data();
+  v.touched_count = touched_.size();
   return v;
 }
 
@@ -440,7 +443,16 @@ void Cluster::update_rack_layer(sim::SimTime t) {
   }
 }
 
+void Cluster::invalidate_view() {
+  ++revision_;
+  touched_.clear();
+}
+
 void Cluster::rebuild_routable() {
+  // Every sweep, flush and join ends here, so this one bump covers all the
+  // bulk changes (temperatures, drain flags, completion decrements, admin
+  // state, node count) a pick reads.
+  invalidate_view();
   routable_.clear();
   for (std::size_t i = 0; i < draining_.size(); ++i) {
     if (admin_[i] == AdminState::kActive && draining_[i] == 0) {
@@ -487,10 +499,12 @@ void Cluster::route(sim::SimTime t) {
   // Deferred advancement: the arrival is recorded, not simulated — the node
   // replays its backlog at the next fleet flush, where the advance can run
   // in parallel with every other node's. The balancer sees the routed count
-  // immediately (outstanding_ increments here); it sees completions only at
-  // sweeps, when the flush drains them.
+  // immediately (outstanding_ increments here, logged in touched_ for its
+  // index, on the affinity path too); it sees completions only at sweeps,
+  // when the flush drains them.
   node.backlog.push_back({t, rid, demand_scale, -1});
   ++outstanding_[id];
+  touched_.push_back(static_cast<std::uint32_t>(id));
   ++node.stats.routed;
   tracer_.request_routed(t, static_cast<std::uint32_t>(id), rid, size_class,
                          affinity);
@@ -500,7 +514,9 @@ void Cluster::on_complete(std::size_t node_id, std::uint32_t id,
                           double latency_s) {
   // Fires mid-run_until, possibly on a pool lane — so it may touch ONLY
   // per-node state (its own buffer, its own SoA slots). The fleet-wide
-  // effects are applied from the buffer, post-barrier, in merge_sweep.
+  // effects are applied from the buffer, post-barrier, in merge_sweep —
+  // whose rebuild_routable also invalidates the balancer view, so this
+  // decrement needs no touched-log entry.
   Node& node = nodes_.at(node_id);
   if (outstanding_[node_id] > 0) --outstanding_[node_id];
   ++node.stats.completed;
@@ -628,6 +644,8 @@ void Cluster::admin_remove(std::size_t i) {
   Node& node = nodes_[i];
   const auto cancelled = node.web->cancel_pending_external();
   for (const auto& c : cancelled) {
+    // No touched_ entry: node i left the routable set above, so no pick
+    // reads its count before the next revision bump.
     if (outstanding_[i] > 0) --outstanding_[i];
     if (routable_.empty()) {
       // Nowhere to re-home (fleet-wide churn overlap): shed instead.
@@ -639,6 +657,7 @@ void Cluster::admin_remove(std::size_t i) {
     nodes_.at(target).backlog.push_back(
         {now_, c.request_id, c.demand_scale, c.issued_at});
     ++outstanding_[target];
+    touched_.push_back(static_cast<std::uint32_t>(target));
   }
   // The detach itself happens at the first sweep with outstanding == 0
   // (merge_sweep), after any in-service requests have completed.
@@ -748,6 +767,9 @@ void Cluster::admin_set_injection(std::size_t i, double probability,
     node.controller->sys_set_global(probability, quantum);
   }
   injection_probability_[i] = probability;
+  // Picks read p. The flush above already bumped and no pick runs in
+  // between, but the write gets its own bump so that never matters.
+  invalidate_view();
 }
 
 void Cluster::admin_retune_governor(std::size_t i,

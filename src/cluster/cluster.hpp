@@ -208,8 +208,13 @@ struct ClusterResult {
 ///
 ///  * Per-node hot state (quantized temps, outstanding counts, injection
 ///    duty, drain flags) lives in structure-of-arrays vectors; the balancer
-///    reads them through a borrowed FleetView, so routing an arrival is an
-///    allocation-free scan.
+///    reads them through a borrowed FleetView. Ordered policies keep their
+///    pick in a tournament tree, so routing an arrival costs O(log N). The
+///    view's revision is bumped by rebuild_routable() (every sweep, flush
+///    and join) and by admin_set_injection(); between bumps, route() and
+///    admin_remove()'s re-homing log each routable node's outstanding
+///    change in the view's touched list, which the next pick replays. Completion decrements land
+///    only in advance_fleet, which merge_sweep's bump always follows.
 ///  * The cluster timeline carries exactly two pending events — the next
 ///    arrival and the next telemetry sweep — regardless of fleet size;
 ///    coordination state beyond that is the O(racks) thermal layer.
@@ -434,6 +439,11 @@ class Cluster {
   /// fleet_sample event, the rack/CRAC step, and the routable rebuild.
   void merge_sweep(sim::SimTime t);
   void update_rack_layer(sim::SimTime t);
+  /// Bump the balancer-view revision and empty the touched log: the next
+  /// pick rebuilds its index. Required after any change a pick reads other
+  /// than a logged outstanding-count change.
+  void invalidate_view();
+  /// Recompute the routable set (and invalidate the view).
   void rebuild_routable();
   void route(sim::SimTime t);
   void on_complete(std::size_t node, std::uint32_t id, double latency_s);
@@ -459,6 +469,11 @@ class Cluster {
   std::vector<AdminState> admin_;
   std::vector<std::uint32_t> routable_;
   std::vector<std::uint32_t> rack_of_;
+  /// FleetView::revision / touched: the change stamp (never 0 after
+  /// construction) and the ids whose outstanding count moved since. The log
+  /// holds at most one telemetry period of arrivals.
+  std::uint64_t revision_ = 0;
+  std::vector<std::uint32_t> touched_;
 
   /// Replay cursor into config_.arrival_trace (unused without a trace).
   std::size_t trace_pos_ = 0;

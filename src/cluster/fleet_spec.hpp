@@ -12,12 +12,14 @@
 namespace dimetrodon::cluster {
 
 /// Per-node override applied on top of FleetSpec's gradients. Unset fields
-/// keep whatever the expansion produced.
+/// keep whatever the expansion produced. Written as a designated
+/// initializer naming only the fields it sets; the explicit empty defaults
+/// keep -Wmissing-field-initializers quiet about the rest.
 struct NodeOverride {
-  std::optional<double> fan_speed_fraction;
-  std::optional<double> injection_probability;
-  std::optional<sim::SimTime> injection_quantum;
-  std::optional<control::GovernorSpec> governor;
+  std::optional<double> fan_speed_fraction = std::nullopt;
+  std::optional<double> injection_probability = std::nullopt;
+  std::optional<sim::SimTime> injection_quantum = std::nullopt;
+  std::optional<control::GovernorSpec> governor = std::nullopt;
 };
 
 /// Declarative fleet builder — the one construction path for clusters.

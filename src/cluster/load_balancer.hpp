@@ -8,9 +8,10 @@ namespace dimetrodon::cluster {
 
 /// What the load balancer is allowed to see about the fleet: the operational
 /// telemetry a datacenter scheduler would actually have, in structure-of-
-/// arrays form so a 1000-node pick is a few cache-line streams instead of a
-/// per-arrival vector of per-node structs. All pointers borrow the cluster's
-/// persistent arrays — a view is built in O(1) and never allocates.
+/// arrays form indexed by node id. All pointers borrow the cluster's
+/// persistent arrays — a view is built in O(1) and never allocates. The
+/// `revision`/`touched` pair tells indexed policies what changed since their
+/// last pick, so a pick costs O(log N) instead of a scan of the fleet.
 ///
 /// Temperatures are the node's *quantized* coretemp readings (1 C
 /// resolution), refreshed at the cluster's telemetry period — not the
@@ -39,6 +40,20 @@ struct FleetView {
   /// load entirely would drop requests on the floor).
   const std::uint32_t* routable = nullptr;
   std::size_t routable_count = 0;
+
+  /// Change stamp for incremental routing indexes. The view's owner bumps it
+  /// whenever anything a pick reads changes — temperatures, injection
+  /// probabilities, drain flags, the routable set, the node count, outstanding
+  /// counts — except outstanding-count changes it logs in `touched`. 0 means
+  /// untracked: every pick rebuilds its index from scratch, so hand-built
+  /// views (tests, one-off tools) need no bookkeeping. A nonzero revision is
+  /// only meaningful to a policy fed by one owner.
+  std::uint64_t revision = 0;
+  /// Ids whose outstanding count changed since `revision` was set, in
+  /// change order (duplicates allowed). Append-only until the next bump,
+  /// which empties it; a policy replays only the entries it has not seen.
+  const std::uint32_t* touched = nullptr;
+  std::size_t touched_count = 0;
 };
 
 enum class PolicyKind : std::uint8_t {
@@ -50,15 +65,24 @@ enum class PolicyKind : std::uint8_t {
 
 const char* policy_name(PolicyKind kind);
 
-/// Routing policy interface. `pick` scans the routable id list (never empty)
-/// and returns the chosen node id. Policies may keep internal state (e.g. a
-/// round-robin cursor) but must be deterministic: the same view sequence
-/// yields the same decisions.
+/// Routing policy interface. `pick` chooses among the routable ids (never
+/// empty) and returns the chosen node id. Policies may keep internal state
+/// (e.g. a round-robin cursor) but must be deterministic: the same view
+/// sequence yields the same decisions.
+///
+/// The ordered policies (least-outstanding, coolest-node, injection-aware)
+/// pick the routable node with the best key under their comparator, lower id
+/// winning ties. They keep that answer in a tournament tree over node ids:
+/// a pick whose view carries a new (or zero) `revision` rebuilds the tree in
+/// O(N); otherwise it replays the unseen `touched` entries in O(log N) each
+/// and reads the root. Round-robin keeps only its cursor.
 class LoadBalancer {
  public:
   virtual ~LoadBalancer() = default;
   virtual const char* name() const = 0;
   virtual std::size_t pick(const FleetView& fleet) = 0;
+  /// Full index rebuilds so far (diagnostics; 0 for unindexed policies).
+  virtual std::uint64_t index_rebuilds() const { return 0; }
 };
 
 /// `injection_threshold` only affects kInjectionAware: nodes whose injection

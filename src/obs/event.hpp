@@ -32,6 +32,10 @@ enum class EventKind : std::uint8_t {
   kScenarioDirective,// scenario: a script directive was applied to the fleet
 };
 
+/// The last enumerator: move it when appending a kind, so exhaustiveness
+/// tests (every kind survives every exporter) cover the new one.
+inline constexpr EventKind kLastEventKind = EventKind::kScenarioDirective;
+
 constexpr std::string_view event_kind_name(EventKind k) {
   switch (k) {
     case EventKind::kSchedSwitch:     return "sched_switch";

@@ -271,6 +271,28 @@ void ChromeTraceExporter::add_machine(const TraceMeta& meta,
         // quantized sensor anywhere in the fleet at this sample.
         emit(counter(pid, "fleet hottest sensor C", e.at, e.value));
         break;
+      case EventKind::kRequestShed:
+        emit(instant(pid, 0, "shed req " + std::to_string(e.tid), e.at));
+        break;
+      case EventKind::kNodeJoin: {
+        char args[64];
+        std::snprintf(args, sizeof args, "\"warmup_s\":%.6g", e.value);
+        emit(instant(pid, 0,
+                     std::string("node ") + std::to_string(c) +
+                         (e.arg != 0 ? " join warm" : " join cold"),
+                     e.at, args));
+        break;
+      }
+      case EventKind::kScenarioDirective: {
+        // core 0xffff marks a fleet-wide directive.
+        const std::string target =
+            c == 0xffff ? "fleet" : "node " + std::to_string(c);
+        emit(instant(pid, 0,
+                     "directive " + std::to_string(e.arg) + " kind " +
+                         std::to_string(e.phase) + " -> " + target,
+                     e.at));
+        break;
+      }
       case EventKind::kInjectionBegin:
       case EventKind::kInjectionEnd:
         break;  // rendered below from paired spans

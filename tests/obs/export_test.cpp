@@ -138,6 +138,64 @@ TEST(CsvExport, HeaderAndOneLinePerEvent) {
   EXPECT_NE(csv.find("meter_sample"), std::string::npos);
 }
 
+/// The smallest event sequence that makes `kind` visible in a Chrome trace:
+/// running and C-state slices render when they close, and an injection
+/// Begin renders as half of its paired span.
+std::vector<TraceEvent> minimal_sequence(EventKind kind) {
+  TraceEvent e = make(kind, 1000, 0, 4, 1, 42.0);
+  switch (kind) {
+    case EventKind::kSchedSwitch:
+      return {e, make(EventKind::kSchedSwitch, 2000, 0, 5)};
+    case EventKind::kCStateChange: {
+      e.phase = static_cast<std::uint8_t>(CStatePhase::kEnterBegin);
+      TraceEvent exit = make(EventKind::kCStateChange, 2000, 0, 4, 1);
+      exit.phase = static_cast<std::uint8_t>(CStatePhase::kExitDone);
+      return {e, exit};
+    }
+    case EventKind::kInjectionBegin:
+      return {e, make(EventKind::kInjectionEnd, 2000, 0, 4, 1000)};
+    default:
+      return {e};
+  }
+}
+
+/// Trace entries other than the "ph":"M" metadata records.
+std::size_t data_entries(const std::string& json) {
+  std::size_t entries = 0;
+  for (std::size_t pos = json.find("{\"ph\":\""); pos != std::string::npos;
+       pos = json.find("{\"ph\":\"", pos + 1)) {
+    if (json.compare(pos + 7, 1, "M") != 0) ++entries;
+  }
+  return entries;
+}
+
+TEST(ExportCompleteness, EveryEventKindReachesChromeAndCsv) {
+  // kLastEventKind must really be last: the next value has no name.
+  EXPECT_EQ(event_kind_name(static_cast<EventKind>(
+                static_cast<int>(kLastEventKind) + 1)),
+            "unknown");
+  TraceMeta meta;
+  meta.process_name = "all kinds";
+  meta.pid = 1;
+  meta.num_cores = 1;
+  for (int k = 0; k <= static_cast<int>(kLastEventKind); ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    const std::string name(event_kind_name(kind));
+    ASSERT_NE(name, "unknown") << "kind " << k;
+
+    ChromeTraceExporter exporter;
+    exporter.add_machine(meta, minimal_sequence(kind));
+    const std::string json = exporter.to_string();
+    EXPECT_TRUE(json::validate(json).ok) << name;
+    EXPECT_GT(data_entries(json), 0u) << name << " dropped by Chrome export";
+
+    std::ostringstream csv;
+    write_csv(csv, {make(kind, 1000, 0)});
+    EXPECT_NE(csv.str().find("," + name + ","), std::string::npos)
+        << name << " missing from CSV export";
+  }
+}
+
 TEST(JsonValidator, AcceptsRfc8259Documents) {
   EXPECT_TRUE(json::validate("{}").ok);
   EXPECT_TRUE(json::validate("[1, 2.5, -3e4, \"x\\n\\u0041\", true, null]").ok);

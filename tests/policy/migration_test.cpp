@@ -81,7 +81,9 @@ TEST(MigrationPolicyTest, RotatesSingleHotThreadAcrossDies) {
         sums[i] += m.die_temperature(static_cast<sched::CoreId>(i));
       }
     }
-    if (policy) EXPECT_GT(policy->migrations(), 10u);
+    if (policy) {
+      EXPECT_GT(policy->migrations(), 10u);
+    }
     double hottest = 0.0;
     for (const double s : sums) hottest = std::max(hottest, s / samples);
     return hottest;

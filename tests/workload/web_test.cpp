@@ -307,7 +307,9 @@ TEST(WebWorkloadTest, CancelPendingExternalRehomesQueuedOldestFirst) {
     EXPECT_EQ(c.request_id, 12u - cancelled.size() + i);
     EXPECT_EQ(c.demand_scale, 1.0 + 0.25 * c.request_id);
     EXPECT_EQ(c.issued_at, sim::from_ms(c.request_id));
-    if (i > 0) EXPECT_GT(c.issued_at, cancelled[i - 1].issued_at);
+    if (i > 0) {
+      EXPECT_GT(c.issued_at, cancelled[i - 1].issued_at);
+    }
   }
   // In-service requests run to completion on this node; cancelled ones
   // never complete here.
