@@ -3,9 +3,10 @@
 // stepping, scheduler dispatch, and whole-machine simulated seconds.
 //
 // Besides the google-benchmark suite, main() always runs the acceptance
-// measurement for the closed-form thermal fast-forward — the 300 s cpuburn×4
-// machine-advance workload under the pre-fast-forward reference stepper and
-// under the lazy clock — and writes the machine-readable result to
+// measurements for the closed-form thermal fast-forward — the 300 s
+// cpuburn×4 and 60 s open-loop web machine-advance workloads under the
+// sequential reference stepper and under the lazy clock — and writes the
+// machine-readable result to
 // BENCH_engine.json (override the path with DIMETRODON_BENCH_JSON) so CI can
 // track the perf trajectory as an artifact.
 #include <benchmark/benchmark.h>
@@ -26,6 +27,7 @@
 #include "thermal/linalg.hpp"
 #include "thermal/rc_network.hpp"
 #include "workload/cpuburn.hpp"
+#include "workload/web.hpp"
 
 using namespace dimetrodon;
 
@@ -289,9 +291,28 @@ void BM_MachineSecondTracing(benchmark::State& state) {
 BENCHMARK(BM_MachineSecondTracing)->Arg(0)->Arg(1);
 
 // ---------------------------------------------------------------------------
-// Acceptance measurement: 300 s cpuburn×4 machine advance, reference stepper
-// vs closed-form fast-forward, written as machine-readable JSON.
+// Acceptance measurements: machine advance under the reference stepper vs
+// the closed-form fast-forward, on 300 s of cpuburn×4 (regular timeslices)
+// and 60 s of open-loop web (arrival-driven spans), written as
+// machine-readable JSON.
 // ---------------------------------------------------------------------------
+
+enum class AdvanceWorkload { kCpuBurn, kOpenLoopWeb };
+
+// Open-loop web serving as a cluster node sees it: Poisson arrivals pushed
+// in from outside, so thermal spans end at arbitrary nanoseconds rather than
+// on cpuburn's regular timeslice boundaries.
+void drive_open_loop(sched::Machine& machine, workload::WebWorkload& web,
+                     double rps, sim::SimTime end) {
+  sim::Rng arrivals(42);
+  std::uint32_t id = 0;
+  for (sim::SimTime t = sim::from_sec(arrivals.exponential(1.0 / rps));
+       t < end; t += sim::from_sec(arrivals.exponential(1.0 / rps))) {
+    machine.run_until(t);
+    web.inject_request(id++);
+  }
+  machine.run_until(end);
+}
 
 struct AdvanceResult {
   double wall_seconds = 0.0;
@@ -301,18 +322,33 @@ struct AdvanceResult {
   std::uint64_t fast_forward_steps = 0;
   std::uint64_t matvecs = 0;
   std::uint64_t factorizations = 0;
+  double factorizations_per_sim_second = 0.0;
   std::uint64_t events_executed = 0;
 };
 
-AdvanceResult measure_machine_advance(bool reference, double sim_seconds) {
+AdvanceResult measure_machine_advance(AdvanceWorkload kind, bool reference,
+                                      double sim_seconds) {
   sched::MachineConfig cfg;
   cfg.enable_meter = false;
   cfg.thermal_reference_stepper = reference;
   sched::Machine machine(cfg);
   workload::CpuBurnFleet fleet(4);
-  fleet.deploy(machine);
+  workload::WebWorkload::Config web_cfg;
+  web_cfg.connections = 0;  // open loop only
+  workload::WebWorkload web(web_cfg);
+  const bool cpuburn = kind == AdvanceWorkload::kCpuBurn;
+  if (cpuburn) {
+    fleet.deploy(machine);
+  } else {
+    web.deploy(machine);
+  }
+  const sim::SimTime end = sim::from_sec(sim_seconds);
   const auto t0 = std::chrono::steady_clock::now();
-  machine.run_for(sim::from_sec(sim_seconds));
+  if (cpuburn) {
+    machine.run_until(end);
+  } else {
+    drive_open_loop(machine, web, 600.0, end);
+  }
   const auto t1 = std::chrono::steady_clock::now();
 
   AdvanceResult r;
@@ -324,6 +360,8 @@ AdvanceResult measure_machine_advance(bool reference, double sim_seconds) {
   r.fast_forward_steps = t.thermal_fast_forward_steps;
   r.matvecs = t.thermal_matvecs;
   r.factorizations = t.thermal_factorizations;
+  r.factorizations_per_sim_second =
+      static_cast<double>(r.factorizations) / sim_seconds;
   r.events_executed = machine.simulator().events_executed();
   r.ns_per_substep =
       r.substeps > 0 ? r.wall_seconds * 1e9 / static_cast<double>(r.substeps)
@@ -372,7 +410,7 @@ SparseResult measure_sparse_advance() {
     const auto heads = build_island_network(net, kIslands, kPerIsland);
     for (const auto n : heads) net.set_power(n, 35.0);
     net.set_sparse_enabled(sparse);
-    net.advance(0.00025, 4000);  // warm the operator cache
+    net.advance(0.00025, 4000);  // build the step operator and its lifted tables
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kReps; ++i) net.advance(0.00025, 4000);
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -487,6 +525,7 @@ void put_advance(std::FILE* f, const char* key, const AdvanceResult& r,
       "      \"fast_forward_steps\": %llu,\n"
       "      \"matvecs\": %llu,\n"
       "      \"factorizations\": %llu,\n"
+      "      \"factorizations_per_sim_second\": %.4f,\n"
       "      \"events_executed\": %llu\n"
       "    }%s\n",
       key, r.wall_seconds, r.sim_seconds_per_sec, r.ns_per_substep,
@@ -494,6 +533,7 @@ void put_advance(std::FILE* f, const char* key, const AdvanceResult& r,
       static_cast<unsigned long long>(r.fast_forward_steps),
       static_cast<unsigned long long>(r.matvecs),
       static_cast<unsigned long long>(r.factorizations),
+      r.factorizations_per_sim_second,
       static_cast<unsigned long long>(r.events_executed), trailing);
 }
 
@@ -501,17 +541,31 @@ int write_engine_json() {
   const char* env = std::getenv("DIMETRODON_BENCH_JSON");
   const std::string path = (env != nullptr && *env) ? env : "BENCH_engine.json";
   constexpr double kSimSeconds = 300.0;  // the paper's Fig. 2 horizon
+  constexpr double kWebSimSeconds = 60.0;
+  const auto speedup_of = [](const AdvanceResult& ref,
+                             const AdvanceResult& fast) {
+    return ref.sim_seconds_per_sec > 0.0
+               ? fast.sim_seconds_per_sec / ref.sim_seconds_per_sec
+               : 0.0;
+  };
 
   std::fprintf(stderr, "measuring %g s cpuburn×4 machine advance "
                "(reference stepper)...\n", kSimSeconds);
-  const AdvanceResult ref = measure_machine_advance(true, kSimSeconds);
+  const AdvanceResult ref =
+      measure_machine_advance(AdvanceWorkload::kCpuBurn, true, kSimSeconds);
   std::fprintf(stderr, "measuring %g s cpuburn×4 machine advance "
                "(fast-forward)...\n", kSimSeconds);
-  const AdvanceResult fast = measure_machine_advance(false, kSimSeconds);
+  const AdvanceResult fast =
+      measure_machine_advance(AdvanceWorkload::kCpuBurn, false, kSimSeconds);
   const double event_ops = measure_event_queue_ops_per_sec();
-  const double speedup = ref.sim_seconds_per_sec > 0.0
-                             ? fast.sim_seconds_per_sec / ref.sim_seconds_per_sec
-                             : 0.0;
+  const double speedup = speedup_of(ref, fast);
+  std::fprintf(stderr, "measuring %g s open-loop web machine advance "
+               "(reference stepper, then fast-forward)...\n", kWebSimSeconds);
+  const AdvanceResult web_ref = measure_machine_advance(
+      AdvanceWorkload::kOpenLoopWeb, true, kWebSimSeconds);
+  const AdvanceResult web_fast = measure_machine_advance(
+      AdvanceWorkload::kOpenLoopWeb, false, kWebSimSeconds);
+  const double web_speedup = speedup_of(web_ref, web_fast);
   std::fprintf(stderr, "measuring block-diagonal sparse advance...\n");
   const SparseResult sparse = measure_sparse_advance();
   std::fprintf(stderr, "measuring warm-start sweep (8 points, 240 s shared "
@@ -525,7 +579,7 @@ int write_engine_json() {
   }
   std::fprintf(f,
                "{\n"
-               "  \"schema\": \"dimetrodon-bench-engine v2\",\n"
+               "  \"schema\": \"dimetrodon-bench-engine v3\",\n"
                "  \"machine_advance\": {\n"
                "    \"workload\": \"cpuburn x4\",\n"
                "    \"sim_seconds\": %.1f,\n",
@@ -535,10 +589,19 @@ int write_engine_json() {
   std::fprintf(f,
                "    \"speedup\": %.3f\n"
                "  },\n"
+               "  \"open_loop_web\": {\n"
+               "    \"workload\": \"open-loop web, Poisson 600 rps\",\n"
+               "    \"sim_seconds\": %.1f,\n",
+               speedup, kWebSimSeconds);
+  put_advance(f, "reference", web_ref, ",");
+  put_advance(f, "fast_forward", web_fast, ",");
+  std::fprintf(f,
+               "    \"speedup\": %.3f\n"
+               "  },\n"
                "  \"event_queue\": {\n"
                "    \"ops_per_sec\": %.0f\n"
                "  },\n",
-               speedup, event_ops);
+               web_speedup, event_ops);
   std::fprintf(f,
                "  \"sparse\": {\n"
                "    \"nodes\": %zu,\n"
@@ -572,6 +635,12 @@ int write_engine_json() {
                ref.sim_seconds_per_sec, fast.sim_seconds_per_sec, speedup,
                path.c_str());
   std::fprintf(stderr,
+               "open-loop web: reference %.2f sim-s/s, fast-forward %.2f "
+               "sim-s/s (%.1fx), %llu factorizations\n",
+               web_ref.sim_seconds_per_sec, web_fast.sim_seconds_per_sec,
+               web_speedup,
+               static_cast<unsigned long long>(web_fast.factorizations));
+  std::fprintf(stderr,
                "sparse advance: dense %.3fs, csr %.3fs (%.2fx, %llu sparse "
                "matvecs, identical=%d)\n",
                sparse.dense_wall, sparse.sparse_wall, sparse.speedup,
@@ -584,6 +653,15 @@ int write_engine_json() {
 
   // Acceptance bars — a regression here fails the bench binary (and CI).
   int rc = 0;
+  if (web_fast.factorizations > 1) {
+    // Thermal time lives on one substep grid: irregular arrival-driven
+    // spans must not cost LU factorizations beyond the grid's one.
+    std::fprintf(stderr,
+                 "BAR FAILED: open-loop web run made %llu factorizations "
+                 "(budget: 1 per run)\n",
+                 static_cast<unsigned long long>(web_fast.factorizations));
+    rc = 1;
+  }
   if (!sparse.bit_identical) {
     std::fprintf(stderr, "BAR FAILED: sparse path is not bit-identical\n");
     rc = 1;

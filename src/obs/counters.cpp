@@ -86,7 +86,6 @@ CounterTotals CounterRegistry::totals() const {
   t.thermal_factorizations = thermal_factorizations;
   t.thermal_matvecs = thermal_matvecs;
   t.thermal_sparse_matvecs = thermal_sparse_matvecs;
-  t.thermal_evictions = thermal_evictions;
   t.governor_samples = governor_samples;
   t.governor_trips = governor_trips;
   t.governor_releases = governor_releases;

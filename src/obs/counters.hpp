@@ -65,7 +65,9 @@ struct CounterTotals {
   std::uint64_t thermal_factorizations = 0;      // step-matrix LU factors
   std::uint64_t thermal_matvecs = 0;             // matvec products, any kind
   std::uint64_t thermal_sparse_matvecs = 0;      // of those, via the CSR path
-  std::uint64_t thermal_evictions = 0;           // StepOperator LRU evictions
+  /// Always 0: each network holds one step operator, so there is nothing to
+  /// evict. Kept so serialized totals and their readers keep the field.
+  std::uint64_t thermal_evictions = 0;
 
   // Warm-start counters. The machine never increments these; the sweep
   // engine's snapshot cache does (builds = warmup prefixes simulated, forks
@@ -140,7 +142,6 @@ class CounterRegistry {
   std::uint64_t thermal_factorizations = 0;
   std::uint64_t thermal_matvecs = 0;
   std::uint64_t thermal_sparse_matvecs = 0;
-  std::uint64_t thermal_evictions = 0;
 
   CounterTotals totals() const;
 

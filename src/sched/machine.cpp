@@ -45,6 +45,8 @@ Machine::Machine(MachineConfig config)
     cores_.push_back(c);
   }
   window_node_joules_.assign(network_.node_count(), 0.0);
+  carry_joules_.assign(network_.node_count(), 0.0);
+  span_power_.assign(network_.node_count(), 0.0);
   tracer_.counters().resize(cores_.size());
   if (config_.trace_sink_factory) {
     if (auto sink = config_.trace_sink_factory()) {
@@ -182,11 +184,6 @@ void Machine::apply_powers(double span_seconds) {
   window_node_joules_[nodes_.package] += uncore * span_seconds;
 }
 
-void Machine::integrate_chunk(double dt_seconds) {
-  apply_powers(dt_seconds);
-  network_.step(dt_seconds);
-}
-
 void Machine::sync_thermal_counters() {
   const thermal::RcNetwork::Stats& s = network_.stats();
   obs::CounterRegistry& c = tracer_.counters();
@@ -195,37 +192,64 @@ void Machine::sync_thermal_counters() {
   c.thermal_factorizations = s.factorizations;
   c.thermal_matvecs = s.matvecs;
   c.thermal_sparse_matvecs = s.sparse_matvecs;
-  c.thermal_evictions = s.evictions;
 }
 
 void Machine::advance_thermal(sim::SimTime to) {
   if (to <= last_thermal_update_) return;
   if (config_.thermal_reference_stepper) {
-    // Pre-fast-forward semantics: sequential substeps, leakage refreshed at
-    // every chunk boundary.
-    sim::SimTime remaining = to - last_thermal_update_;
-    while (remaining >= config_.thermal_substep) {
-      integrate_chunk(sim::to_sec(config_.thermal_substep));
-      remaining -= config_.thermal_substep;
+    // Sequential reference: walk the grid one substep at a time, so power
+    // and leakage refresh at every grid point and each grid point costs one
+    // LU solve.
+    while (last_thermal_update_ < to) {
+      integrate_span(std::min(to, thermal_grid_ + config_.thermal_substep));
     }
-    if (remaining > 0) integrate_chunk(sim::to_sec(remaining));
-    last_thermal_update_ = to;
-    sync_thermal_counters();
+  } else {
+    // Lazy clock: every mutation of power-relevant state calls
+    // advance_thermal before acting, so the power vector is constant across
+    // [last, to) and one span covers it however many grid points it crosses.
+    integrate_span(to);
+  }
+  sync_thermal_counters();
+}
+
+void Machine::integrate_span(sim::SimTime to) {
+  const sim::SimTime from = last_thermal_update_;
+  const sim::SimTime substep = config_.thermal_substep;
+  const std::size_t n = carry_joules_.size();
+  const double span = sim::to_sec(to - from);
+  apply_powers(span);
+  last_thermal_update_ = to;
+  if (to < thermal_grid_ + substep) {
+    // The span ends inside the open substep: carry its energy, do not step.
+    for (std::size_t i = 0; i < n; ++i) {
+      carry_joules_[i] += network_.power(i) * span;
+    }
     return;
   }
-  // Lazy clock: every mutation of power-relevant state calls advance_thermal
-  // before acting, so the power vector is constant across [last, to). Charge
-  // it once for the whole span, then fast-forward the propagator: k full
-  // substeps in O(log k) matvecs plus one sequential remainder chunk.
-  const sim::SimTime span = to - last_thermal_update_;
-  apply_powers(sim::to_sec(span));
-  const std::uint64_t k =
-      static_cast<std::uint64_t>(span / config_.thermal_substep);
-  const sim::SimTime remainder = span % config_.thermal_substep;
-  network_.advance(sim::to_sec(config_.thermal_substep), k);
-  if (remainder > 0) network_.step(sim::to_sec(remainder));
-  last_thermal_update_ = to;
-  sync_thermal_counters();
+  const double dt = sim::to_sec(substep);
+  const auto crossed =
+      static_cast<std::uint64_t>((to - thermal_grid_) / substep);
+  std::uint64_t whole = crossed;
+  // A substep this span covers alone steps with the span's power exactly
+  // (not P·dt/dt, which can round), so both stepping paths share arithmetic.
+  if (from != thermal_grid_) {
+    // Close the open substep at its time-weighted mean power, then restore
+    // this span's power for the whole substeps after it.
+    const double head = sim::to_sec(thermal_grid_ + substep - from);
+    for (std::size_t i = 0; i < n; ++i) {
+      span_power_[i] = network_.power(i);
+      network_.set_power(i, (carry_joules_[i] + span_power_[i] * head) / dt);
+    }
+    network_.step(dt);
+    for (std::size_t i = 0; i < n; ++i) network_.set_power(i, span_power_[i]);
+    --whole;
+  }
+  network_.advance(dt, whole);
+  thermal_grid_ += static_cast<sim::SimTime>(crossed) * substep;
+  const double tail = sim::to_sec(to - thermal_grid_);
+  for (std::size_t i = 0; i < n; ++i) {
+    carry_joules_[i] = network_.power(i) * tail;
+  }
 }
 
 void Machine::schedule_substep() {
@@ -315,6 +339,10 @@ void Machine::jump_to_average_power_steady_state() {
     }
   }
   network_.solve_steady_state();
+  // The steady state is the network state "now": re-anchor the grid here
+  // and drop the open substep's energy, which the average already covers.
+  thermal_grid_ = last_thermal_update_;
+  std::fill(carry_joules_.begin(), carry_joules_.end(), 0.0);
   mark_power_window();
 }
 
@@ -863,9 +891,9 @@ void Machine::set_fan_speed(double fraction) {
   if (fraction <= 0.0 || fraction > 1.0) {
     throw std::invalid_argument("fan speed fraction must be in (0, 1]");
   }
-  // Integrate the elapsed span under the old conductance first; the edge
-  // re-weight below invalidates the cached step operators, so everything
-  // after "now" factors against the new one.
+  // Bring thermal time to "now" under the old conductance first; the edge
+  // re-weight below invalidates the step operator, so every grid point after
+  // "now" (the open substep included) factors against the new one.
   advance_thermal(sim_.now());
   config_.floorplan.fan_speed_fraction = fraction;
   const double fan_factor = std::pow(fraction, 0.8);
@@ -1110,6 +1138,8 @@ MachineSnapshot Machine::snapshot() {
   s.master_rng = master_rng_;
   s.thermal = network_.save_state();
   s.last_thermal_update = last_thermal_update_;
+  s.thermal_grid = thermal_grid_;
+  s.thermal_carry = carry_joules_;
   s.energy = energy_.save_state();
   s.counters = tracer_.counters();
   s.tm_active = tm_active_;
@@ -1131,6 +1161,7 @@ void Machine::restore(const MachineSnapshot& s) {
     throw std::invalid_argument("machine restore: core count mismatch");
   }
   if (window_node_joules_.size() != s.window_node_joules.size() ||
+      carry_joules_.size() != s.thermal_carry.size() ||
       tm_active_.size() != s.tm_active.size()) {
     throw std::invalid_argument(
         "machine restore: thermal topology mismatch (different "
@@ -1145,6 +1176,8 @@ void Machine::restore(const MachineSnapshot& s) {
   master_rng_ = s.master_rng;
   network_.restore_state(s.thermal);
   last_thermal_update_ = s.last_thermal_update;
+  thermal_grid_ = s.thermal_grid;
+  carry_joules_ = s.thermal_carry;
   energy_.restore_state(s.energy);
   tracer_.counters() = s.counters;
   tm_active_ = s.tm_active;

@@ -74,10 +74,14 @@ struct MachineConfig {
   sim::SimTime thermal_monitor_period = sim::from_ms(5);
   std::size_t prochot_duty_step = 2;  // 25% clock duty while throttling
 
-  /// Thermal integration substep: the implicit-Euler dt of the closed-form
-  /// propagator. Integration happens lazily at machine interaction points
-  /// (scheduler events, actuation, sensor/meter reads) where the span since
-  /// the last update is fast-forwarded in O(log k) matvecs of this dt.
+  /// Thermal integration substep: the fixed grid the thermal state lives on,
+  /// and the only dt the network ever steps with (one LU factorization per
+  /// machine). Integration happens lazily at machine interaction points
+  /// (scheduler events, actuation, sensor/meter reads): a span that ends
+  /// inside the open substep only carries its energy; a completed substep is
+  /// charged with its time-weighted mean power, and the whole substeps after
+  /// it are fast-forwarded in O(log k) matvecs. Sensors, leakage and PROCHOT
+  /// therefore read the last grid state, at most one substep stale.
   sim::SimTime thermal_substep = sim::from_us(250);
 
   /// Upper bound on the span between thermal advances (a coarse self-
@@ -86,10 +90,12 @@ struct MachineConfig {
   /// refresh interval on an otherwise quiet machine.
   sim::SimTime thermal_watchdog = sim::from_ms(5);
 
-  /// Testing/benchmark mode: restore the pre-fast-forward stepper — a
-  /// self-rescheduling `thermal_substep` event and one sequential LU solve
-  /// per substep, with leakage refreshed every chunk. The parity suite and
-  /// the before/after engine benchmark run against this.
+  /// Testing/benchmark mode: the sequential reference — a self-rescheduling
+  /// `thermal_substep` event, and every span walked along the same grid one
+  /// substep at a time (power and leakage refreshed at each grid point, one
+  /// LU solve per grid point, partial substeps carried exactly like the
+  /// lazy clock carries them). The parity suite and the before/after engine
+  /// benchmark run against this.
   bool thermal_reference_stepper = false;
 
   /// Attach the sampled power meter (disable for large parameter sweeps).
@@ -171,9 +177,9 @@ class Machine {
   /// Live fan degradation/repair: re-aim the heatsink→ambient conductance at
   /// `fraction` (same (0, 1] domain and pow(f, 0.8) affinity law as the
   /// construction-time FloorplanParams::fan_speed_fraction). The thermal
-  /// state is first fast-forwarded to "now" so the span already elapsed
-  /// integrates under the old conductance; cached step operators rebuild
-  /// lazily against the new one. Throws std::invalid_argument outside (0, 1].
+  /// state is first brought to "now" so the grid points already passed
+  /// integrate under the old conductance; the step operator rebuilds lazily
+  /// against the new one. Throws std::invalid_argument outside (0, 1].
   void set_fan_speed(double fraction);
 
   /// p4tcc-style clock duty step (1..8 meaning 12.5%..100%). This sets the
@@ -228,9 +234,9 @@ class Machine {
 
   /// Fast-forward the thermal network to the present instant, making "now" an
   /// interaction point under the lazy thermal clock. Feedback controllers
-  /// call this before reading sensors so a sample observes current
-  /// temperatures without adding a periodic substep — the fast-forward stays
-  /// O(log k) in the number of elapsed substeps.
+  /// call this before reading sensors so a sample observes the last grid
+  /// point (at most one thermal_substep old) without adding a periodic
+  /// event — the fast-forward stays O(log k) in the elapsed substeps.
   void sync_thermal_now() { advance_thermal(sim_.now()); }
 
   /// True instantaneous package power right now, watts.
@@ -308,7 +314,9 @@ class Machine {
   void sibling_checkpoint(Core& c);
   void replan_sibling(Core& c);
   void advance_thermal(sim::SimTime to);
-  void integrate_chunk(double dt_seconds);
+  /// Charge [last_thermal_update_, to) at the current power and move the
+  /// grid across every grid point it reaches.
+  void integrate_span(sim::SimTime to);
   void apply_powers(double span_seconds);
   void sync_thermal_counters();
   void schedule_substep();
@@ -351,7 +359,13 @@ class Machine {
   std::vector<std::unique_ptr<Thread>> threads_;
   std::size_t live_threads_ = 0;
 
+  // Thermal grid: the network holds the state at thermal_grid_ (whole
+  // substeps past the last re-anchor); carry_joules_ is each node's energy
+  // over the open substep's elapsed part [thermal_grid_, last_thermal_update_).
   sim::SimTime last_thermal_update_ = 0;
+  sim::SimTime thermal_grid_ = 0;
+  std::vector<double> carry_joules_;
+  std::vector<double> span_power_;  // integrate_span scratch
 
   // Handles to the machine's recurring self-rescheduling events, plus a
   // registry of in-flight per-thread timers (timed-sleep wakeups and

@@ -30,9 +30,9 @@ namespace dimetrodon::sched {
 ///  * all stochastic state (master RNG, per-thread RNG streams, cached
 ///    Box-Muller halves) is copied verbatim.
 ///
-/// Deliberately NOT captured: the thermal per-dt operator cache (a pure
-/// function of topology + dt; rebuilt lazily with bit-identical arithmetic,
-/// so only the factorization/solve work counters can exceed the replay's)
+/// Deliberately NOT captured: the thermal step operator (a pure function of
+/// topology + dt; rebuilt lazily with bit-identical arithmetic, so only the
+/// factorization/solve work counters can exceed the replay's)
 /// and anything precondition-excluded by Machine::snapshot (meter, trace
 /// sink, reference stepper, an attached injection hook).
 struct MachineSnapshot {
@@ -104,6 +104,10 @@ struct MachineSnapshot {
 
   thermal::RcNetwork::State thermal;
   sim::SimTime last_thermal_update = 0;
+  /// Thermal grid anchor and the open substep's carried per-node energy: a
+  /// fork taken mid-substep must close that substep at the same mean power.
+  sim::SimTime thermal_grid = 0;
+  std::vector<double> thermal_carry;
 
   power::EnergyAccountant::State energy;
   obs::CounterRegistry counters;

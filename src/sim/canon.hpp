@@ -28,7 +28,12 @@ namespace dimetrodon::sim {
 /// directive script; scenario_directives, node_joins, node_removals,
 /// requests_shed, requests_rehomed and latency_rejects joined
 /// obs::CounterTotals::fields().
-inline constexpr int kCanonVersion = 9;
+///
+/// v10: thermal time moved onto the substep grid (partial substeps carry
+/// their energy and are charged as mean power), so modelled results shift
+/// slightly; the bump keeps cached records from older versions from being
+/// replayed as if this model had produced them.
+inline constexpr int kCanonVersion = 10;
 
 /// The one way canonical text is produced. Fields render as "key=value "
 /// with doubles in hex-float (%a) so the text is bit-exact, integers in hex,

@@ -199,11 +199,12 @@ bool LuFactorization::factor(const DenseMatrix& m) {
   return true;
 }
 
-void LuFactorization::solve(std::vector<double>& b) const {
+void LuFactorization::solve(std::vector<double>& b) {
   assert(valid_);
   const std::size_t n = lu_.size();
   assert(b.size() == n);
-  std::vector<double> x(n);
+  std::vector<double>& x = work_;
+  x.resize(n);
   for (std::size_t i = 0; i < n; ++i) x[i] = b[perm_[i]];
   // Forward substitution (unit lower triangle).
   for (std::size_t i = 0; i < n; ++i) {
@@ -214,7 +215,8 @@ void LuFactorization::solve(std::vector<double>& b) const {
     for (std::size_t j = ii + 1; j < n; ++j) x[ii] -= lu_.at(ii, j) * x[j];
     x[ii] /= lu_.at(ii, ii);
   }
-  b = std::move(x);
+  // Swap, not move: both buffers survive, so repeated solves never allocate.
+  b.swap(x);
 }
 
 }  // namespace dimetrodon::thermal

@@ -131,14 +131,17 @@ class LuFactorization {
   bool factor(const DenseMatrix& m);
 
   /// Solve A x = b in place; `b` must have size() elements.
-  /// Requires a successful factor().
-  void solve(std::vector<double>& b) const;
+  /// Requires a successful factor(). Allocation-free after the first call
+  /// (the permuted solution is built in a member buffer that trades places
+  /// with `b`), hence non-const.
+  void solve(std::vector<double>& b);
 
   bool valid() const { return valid_; }
 
  private:
   DenseMatrix lu_;
   std::vector<std::size_t> perm_;
+  std::vector<double> work_;  // solve() scratch
   bool valid_ = false;
 };
 

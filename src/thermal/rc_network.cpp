@@ -54,9 +54,9 @@ void RcNetwork::set_conductance(NodeId a, NodeId b,
   for (Edge& e : edges_) {
     if ((e.a == a && e.b == b) || (e.a == b && e.b == a)) {
       e.g = conductance_w_per_c;
-      // The step operators bake G into M = C/dt + G and the lifted powers;
-      // a revision bump makes ensure_structure() drop them all so the next
-      // advance factors against the new conductance.
+      // The step operator bakes G into M = C/dt + G and the lifted powers;
+      // a revision bump makes ensure_structure() drop it so the next advance
+      // factors against the new conductance.
       ++topology_revision_;
       return;
     }
@@ -103,19 +103,13 @@ void RcNetwork::ensure_structure() {
       free_nodes_.push_back(n);
     }
   }
-  operators_.clear();
+  op_ = StepOperator{};
   built_revision_ = topology_revision_;
 }
 
 RcNetwork::StepOperator& RcNetwork::operator_for(double dt_seconds) {
   ensure_structure();
-  ++operator_clock_;
-  for (auto& op : operators_) {
-    if (op->dt == dt_seconds) {
-      op->last_used = operator_clock_;
-      return *op;
-    }
-  }
+  if (op_.dt == dt_seconds) return op_;
 
   const std::size_t nf = free_nodes_.size();
   DenseMatrix a(nf);
@@ -137,25 +131,16 @@ RcNetwork::StepOperator& RcNetwork::operator_for(double dt_seconds) {
     }
   }
 
-  auto op = std::make_unique<StepOperator>();
-  op->dt = dt_seconds;
-  if (!op->lu.factor(a)) {
+  // A new dt replaces the held operator and its lifted tables. dt is set
+  // only after a successful factorization, so a singular matrix throws again
+  // on the next call instead of handing out an unusable operator.
+  op_ = StepOperator{};
+  if (!op_.lu.factor(a)) {
     throw std::runtime_error("thermal step matrix is singular");
   }
+  op_.dt = dt_seconds;
   ++stats_.factorizations;
-  op->last_used = operator_clock_;
-
-  if (operators_.size() >= kMaxCachedOperators) {
-    std::size_t evict = 0;
-    for (std::size_t i = 1; i < operators_.size(); ++i) {
-      if (operators_[i]->last_used < operators_[evict]->last_used) evict = i;
-    }
-    ++stats_.evictions;
-    operators_[evict] = std::move(op);
-    return *operators_[evict];
-  }
-  operators_.push_back(std::move(op));
-  return *operators_.back();
+  return op_;
 }
 
 void RcNetwork::ensure_levels(StepOperator& op, std::uint64_t substeps) {
@@ -268,7 +253,8 @@ void RcNetwork::advance(double dt_seconds, std::uint64_t substeps) {
   op.lu.solve(b);
   ++stats_.solves;
 
-  std::vector<double> t(nf);
+  std::vector<double>& t = state_;
+  t.resize(nf);
   for (std::size_t i = 0; i < nf; ++i) t[i] = temps_[free_nodes_[i]];
 
   // Apply set bits LSB→MSB; each level-j application advances 2^j substeps:

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -49,8 +48,8 @@ class RcNetwork {
   /// This is the live-degradation knob — a fan slowing down mid-run changes
   /// the heatsink→ambient conductance of an edge that already exists, which
   /// calling connect() again would NOT do (it appends a parallel edge and
-  /// the conductances would add). Bumps the topology revision so every
-  /// cached step operator is rebuilt against the new G matrix. Throws
+  /// the conductances would add). Bumps the topology revision so the step
+  /// operator is rebuilt against the new G matrix. Throws
   /// std::invalid_argument when no such edge exists or g <= 0.
   void set_conductance(NodeId a, NodeId b, double conductance_w_per_c);
 
@@ -76,9 +75,12 @@ class RcNetwork {
   }
 
   /// Advance all free-node temperatures by `dt_seconds` with the current
-  /// power vector held constant (implicit Euler). The LU factorization is
-  /// kept in a small per-dt cache, so alternating between a primary substep
-  /// and partial-remainder chunks does not rebuild the primary factorization.
+  /// power vector held constant (implicit Euler). The network holds ONE step
+  /// operator: its LU factorization (and lifted tables) are reused while dt
+  /// stays bit-identical and rebuilt when dt or the topology changes. Callers
+  /// are expected to keep one dt — sched::Machine steps only on its
+  /// thermal_substep grid — so a run costs one factorization, not one per
+  /// distinct span length.
   void step(double dt_seconds);
 
   /// Advance `substeps` substeps of `dt_seconds` each, with the current power
@@ -104,7 +106,6 @@ class RcNetwork {
     std::uint64_t solves = 0;              // LU back-substitutions
     std::uint64_t matvecs = 0;             // matrix-vector products, any kind
     std::uint64_t sparse_matvecs = 0;      // of those, via the CSR path
-    std::uint64_t evictions = 0;           // StepOperator LRU evictions
   };
   const Stats& stats() const { return stats_; }
 
@@ -117,9 +118,9 @@ class RcNetwork {
 
   /// Portable dynamic state: everything `advance`/`step` read or write that
   /// is not topology. Captured/restored by the machine snapshot layer; the
-  /// per-dt operator cache is deliberately *not* part of it — operators are
-  /// a pure function of (topology, dt) and rebuild lazily with bit-identical
-  /// arithmetic after a restore.
+  /// step operator is deliberately *not* part of it — it is a pure function
+  /// of (topology, dt) and rebuilds lazily with bit-identical arithmetic
+  /// after a restore.
   struct State {
     std::vector<double> temps;
     std::vector<double> powers;
@@ -156,14 +157,15 @@ class RcNetwork {
     std::vector<SparseMatrix> a_pow_csr;
     std::vector<SparseMatrix> s_geo_csr;
     std::vector<bool> level_sparse;    // per level: CSR twins populated?
-    std::uint64_t last_used = 0;       // LRU tick
   };
 
-  /// Rebuild free_index_/free_nodes_ and drop cached operators if the
-  /// topology changed since they were built.
+  /// Rebuild free_index_/free_nodes_ and drop the step operator if the
+  /// topology changed since it was built.
   void ensure_structure();
 
-  /// Cached-or-built operator for this dt (throws on a singular matrix).
+  /// The step operator for this dt: the held one when dt matches bit for
+  /// bit, else a fresh factorization replacing it (throws on a singular
+  /// matrix).
   StepOperator& operator_for(double dt_seconds);
 
   /// Grow op's lifted tables to cover a fast-forward of `substeps`.
@@ -182,11 +184,7 @@ class RcNetwork {
   std::vector<std::size_t> free_index_;  // node -> dense row, SIZE_MAX if fixed
   std::vector<NodeId> free_nodes_;       // dense row -> node
 
-  // Per-dt operator cache. Small and LRU-evicted: the primary substep dt
-  // stays resident across arbitrary partial-remainder chunks.
-  static constexpr std::size_t kMaxCachedOperators = 8;
-  std::vector<std::unique_ptr<StepOperator>> operators_;
-  std::uint64_t operator_clock_ = 0;
+  StepOperator op_;  // dt < 0 until the first step/advance
   std::uint64_t topology_revision_ = 0;  // bumped by add_node/connect
   std::uint64_t built_revision_ = ~std::uint64_t{0};
 
@@ -200,7 +198,9 @@ class RcNetwork {
   bool sparse_enabled_ = true;
 
   Stats stats_;
+  // Solve/advance scratch, reused so a step or advance never allocates.
   std::vector<double> rhs_;
+  std::vector<double> state_;
   std::vector<double> scratch_;
 };
 

@@ -6,12 +6,87 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "sim/rng.hpp"
 #include "workload/cpuburn.hpp"
 
 namespace dimetrodon::sched {
 namespace {
+
+/// Open-loop request server with snapshot support, shaped like a web worker
+/// fed by a cluster balancer: requests are pushed from outside, each costs
+/// an exponential service demand drawn from the thread's RNG, and the
+/// server sleeps when its queue is empty. (WebWorkload keeps its queues
+/// outside the threads, so it cannot be snapshotted.)
+class QueueServer final : public ThreadBehavior {
+ public:
+  void push() { ++queued_; }
+
+  Burst next_burst(sim::SimTime, sim::Rng& rng) override {
+    serving_ = queued_ > 0;
+    if (!serving_) return Burst{1e-6, 0.1};  // woke to an empty queue
+    return Burst{rng.exponential(0.004), 0.8};
+  }
+  BurstOutcome on_burst_complete(sim::SimTime, sim::Rng&) override {
+    if (serving_) --queued_;
+    serving_ = false;
+    return queued_ > 0 ? BurstOutcome::Continue()
+                       : BurstOutcome::SleepUntilWoken();
+  }
+  bool save_state(std::vector<double>& out) const override {
+    out.push_back(static_cast<double>(queued_));
+    out.push_back(serving_ ? 1.0 : 0.0);
+    return true;
+  }
+  void load_state(const std::vector<double>& in) override {
+    queued_ = static_cast<std::uint64_t>(in.at(0));
+    serving_ = in.at(1) != 0.0;
+  }
+
+ private:
+  std::uint64_t queued_ = 0;
+  bool serving_ = false;
+};
+
+/// Four QueueServers receiving a Poisson arrival stream round-robin.
+struct OpenLoopServers {
+  std::vector<ThreadId> tids;
+
+  void deploy(Machine& m) {
+    for (int i = 0; i < 4; ++i) {
+      tids.push_back(m.create_thread("srv" + std::to_string(i),
+                                     ThreadClass::kUser, 0,
+                                     std::make_unique<QueueServer>()));
+    }
+  }
+  /// Run [from, to) of the arrival stream: advance to each arrival, push it.
+  void drive(Machine& m, const std::vector<sim::SimTime>& arrivals,
+             sim::SimTime from, sim::SimTime to) {
+    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+      if (arrivals[i] < from || arrivals[i] >= to) continue;
+      m.run_until(arrivals[i]);
+      const ThreadId tid = tids[i % tids.size()];
+      static_cast<QueueServer&>(m.thread(tid).behavior()).push();
+      m.wake_thread(tid);
+    }
+    m.run_until(to);
+  }
+};
+
+std::vector<sim::SimTime> poisson_arrivals(double rps, sim::SimTime end) {
+  sim::Rng rng(7);
+  std::vector<sim::SimTime> out;
+  for (sim::SimTime t = 0;;) {
+    t += sim::from_sec(rng.exponential(1.0 / rps));
+    if (t >= end) return out;
+    out.push_back(t);
+  }
+}
 
 MachineConfig snap_config() {
   MachineConfig cfg;
@@ -71,6 +146,50 @@ TEST(MachineSnapshotTest, ForkMatchesReplayBitIdentical) {
   forked.run_for(sim::from_sec(15));
 
   expect_machines_bit_identical(replay, forked);
+}
+
+TEST(MachineSnapshotTest, ForkMidSubstepUnderOpenLoopArrivalsMatchesReplay) {
+  // Open-loop arrivals end spans at arbitrary nanoseconds, so the capture
+  // point falls inside a thermal substep with carried energy pending. The
+  // replay pauses at the same instant (pausing is an interaction point).
+  const std::vector<sim::SimTime> arrivals =
+      poisson_arrivals(600.0, sim::from_sec(4));
+  const sim::SimTime cut = sim::from_sec(2) + 123'457;
+  const sim::SimTime end = sim::from_sec(4);
+
+  Machine replay(snap_config());
+  OpenLoopServers replay_srv;
+  replay_srv.deploy(replay);
+  replay_srv.drive(replay, arrivals, 0, cut);
+  replay_srv.drive(replay, arrivals, cut, end);
+
+  Machine builder(snap_config());
+  OpenLoopServers builder_srv;
+  builder_srv.deploy(builder);
+  builder_srv.drive(builder, arrivals, 0, cut);
+  const MachineSnapshot snap = builder.snapshot();
+  EXPECT_LT(snap.thermal_grid, snap.last_thermal_update);
+  EXPECT_TRUE(std::any_of(snap.thermal_carry.begin(), snap.thermal_carry.end(),
+                          [](double j) { return j != 0.0; }));
+
+  const auto fork = [&](const MachineSnapshot& s) {
+    auto m = std::make_unique<Machine>(snap_config());
+    OpenLoopServers srv;
+    srv.deploy(*m);
+    m->restore(s);
+    srv.drive(*m, arrivals, cut, end);
+    return m;
+  };
+  const auto forked = fork(snap);
+  expect_machines_bit_identical(replay, *forked);
+
+  // The carry is load-bearing: a fork that drops it closes the open
+  // substep at the wrong mean power and diverges.
+  MachineSnapshot no_carry = snap;
+  std::fill(no_carry.thermal_carry.begin(), no_carry.thermal_carry.end(),
+            0.0);
+  const auto dropped = fork(no_carry);
+  EXPECT_NE(dropped->die_temperature(0), replay.die_temperature(0));
 }
 
 TEST(MachineSnapshotTest, SnapshotDoesNotPerturbTheRunningMachine) {

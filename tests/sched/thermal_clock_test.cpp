@@ -9,7 +9,9 @@
 
 #include "core/controller.hpp"
 #include "sched/machine.hpp"
+#include "sim/rng.hpp"
 #include "workload/cpuburn.hpp"
+#include "workload/web.hpp"
 
 namespace dimetrodon::sched {
 namespace {
@@ -95,13 +97,60 @@ TEST(ThermalClockTest, ThermalCountersFlowIntoTotals) {
   EXPECT_GT(t.thermal_fast_forward_steps, 0u);
   EXPECT_LE(t.thermal_fast_forward_steps, t.thermal_substeps);
   EXPECT_GT(t.thermal_matvecs, 0u);
-  // The per-dt operator cache keeps factorizations rare: orders of magnitude
-  // below the substep count, not proportional to it.
-  EXPECT_GT(t.thermal_factorizations, 0u);
-  EXPECT_LT(t.thermal_factorizations * 10, t.thermal_substeps);
+  // Thermal time lives on the substep grid, so the network only ever steps
+  // with one dt: one factorization for the whole run, nothing to evict.
+  EXPECT_EQ(t.thermal_factorizations, 1u);
+  EXPECT_EQ(t.thermal_evictions, 0u);
   // Fast-forward replaces per-substep solves: far fewer matvecs than the
   // substeps they cover.
   EXPECT_LT(t.thermal_matvecs, t.thermal_fast_forward_steps);
+}
+
+struct OpenLoopRun {
+  std::vector<double> die;
+  obs::CounterTotals totals;
+};
+
+// Open-loop web serving as a cluster node sees it: Poisson arrivals at
+// 600 rps for 2 s pushed through WebWorkload::inject_request. Every span
+// ends at an arbitrary nanosecond, so a clock that stepped with span-length
+// dts would factor once per span. The arrival stream depends only on its own
+// seed, so two configs see identical arrivals.
+OpenLoopRun run_open_loop_web(const MachineConfig& cfg) {
+  Machine m(cfg);
+  workload::WebWorkload::Config wc;
+  wc.connections = 0;
+  workload::WebWorkload web(wc);
+  web.deploy(m);
+  sim::Rng arrivals(42);
+  const sim::SimTime end = sim::from_sec(2);
+  sim::SimTime t = 0;
+  for (std::uint32_t id = 0;; ++id) {
+    t += sim::from_sec(arrivals.exponential(1.0 / 600.0));
+    if (t >= end) break;
+    m.run_until(t);
+    web.inject_request(id);
+  }
+  m.run_until(end);
+  EXPECT_GT(web.completed_requests(), 1000u);
+  return {die_temps(m), m.counters().totals()};
+}
+
+TEST(ThermalClockTest, OpenLoopArrivalsFactorOnceAndTrackFineReference) {
+  const OpenLoopRun grid = run_open_loop_web(base_config());
+  // Cost: the grid is the only dt, however irregular the spans.
+  EXPECT_EQ(grid.totals.thermal_factorizations, 1u);
+  EXPECT_EQ(grid.totals.thermal_evictions, 0u);
+  // Value: a sequential 10 µs reference (40x finer grid, leakage refreshed
+  // at every grid point) stays within 0.05 °C of the 250 µs grid.
+  MachineConfig fine = base_config();
+  fine.thermal_reference_stepper = true;
+  fine.thermal_substep = sim::from_us(10);
+  const OpenLoopRun ref = run_open_loop_web(fine);
+  ASSERT_EQ(grid.die.size(), ref.die.size());
+  for (std::size_t i = 0; i < ref.die.size(); ++i) {
+    EXPECT_NEAR(grid.die[i], ref.die[i], 0.05) << "core " << i;
+  }
 }
 
 TEST(ThermalClockTest, FastPathIsDeterministic) {

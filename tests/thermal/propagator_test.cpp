@@ -1,8 +1,8 @@
 // Closed-form fast-forward propagator: RcNetwork::advance(dt, k) must be
 // physics-equivalent to k sequential step(dt) calls (the reference stepper),
 // deterministic, and must preserve the singular-matrix error path. Also
-// covers the per-dt operator cache that keeps the primary-substep
-// factorization resident across partial-remainder chunks.
+// covers the single step operator: reused while dt keeps its bits, rebuilt
+// when dt or the topology changes.
 #include "thermal/rc_network.hpp"
 
 #include <gtest/gtest.h>
@@ -130,7 +130,7 @@ TEST(PropagatorTest, FastForwardIsBitDeterministic) {
     Chain c;
     for (int i = 0; i < 25; ++i) {
       c.net.advance(0.00025, 37);
-      c.net.step(0.00011);  // irregular remainder chunks between
+      c.net.step(0.00011);  // a second dt between: the operator rebuilds
     }
     return all_temps(c.net);
   };
@@ -166,35 +166,31 @@ TEST(PropagatorTest, SingularMatrixThrowsOnBothPaths) {
   }
 }
 
-TEST(PropagatorTest, PrimaryDtFactorizationSurvivesRemainderChunks) {
-  // The pre-fix stepper rebuilt the factorization twice per remainder
-  // (remainder dt clobbered the cache, the next full substep rebuilt it).
-  // With the per-dt cache, alternating primary/remainder costs exactly one
-  // factorization per distinct dt.
+TEST(PropagatorTest, NewDtReplacesTheOneOperator) {
+  // One operator per network: a fixed dt factors once however many steps
+  // and advances use it, and each change of dt costs one factorization.
   Chain c;
-  const double primary = 0.00025;
-  c.net.step(primary);
-  const double rem = 0.00013;
-  for (int i = 0; i < 100; ++i) {
-    c.net.step(primary);
-    c.net.step(rem);
+  for (int i = 0; i < 20; ++i) {
+    c.net.step(0.00025);
+    c.net.advance(0.00025, 7);
   }
+  EXPECT_EQ(c.net.stats().factorizations, 1u);
+  c.net.step(0.0005);
   EXPECT_EQ(c.net.stats().factorizations, 2u);
-}
-
-TEST(PropagatorTest, OperatorCacheIsBoundedUnderUniqueRemainders) {
-  Chain c;
-  const double primary = 0.00025;
-  for (int i = 1; i <= 200; ++i) {
-    c.net.advance(primary, 5);
-    c.net.step(1e-6 * static_cast<double>(i));  // unique remainder each time
+  c.net.advance(0.00025, 7);  // the old dt is gone: rebuilt
+  EXPECT_EQ(c.net.stats().factorizations, 3u);
+  // A rebuilt operator is the same arithmetic: bit-identical to a network
+  // that never switched dt.
+  Chain a, b;
+  a.net.advance(0.00025, 9);
+  b.net.advance(0.00025, 4);
+  b.net.step(0.0005);
+  b.net.restore_state(a.net.save_state());
+  a.net.advance(0.00025, 33);
+  b.net.advance(0.00025, 33);
+  for (NodeId n = 0; n < a.net.node_count(); ++n) {
+    EXPECT_EQ(a.net.temperature(n), b.net.temperature(n));
   }
-  // Unique dts each factor once, but the cache stays bounded and the primary
-  // dt is never evicted by LRU churn (its lifted tables keep getting hits).
-  EXPECT_EQ(c.net.stats().factorizations, 201u);
-  const std::uint64_t factor_before = c.net.stats().factorizations;
-  c.net.advance(primary, 5);
-  EXPECT_EQ(c.net.stats().factorizations, factor_before);
 }
 
 TEST(PropagatorTest, TopologyChangeInvalidatesOperators) {
