@@ -17,10 +17,7 @@ double TrafficShape::modulation(sim::SimTime t) const {
         sim::to_sec(t + diurnal_phase) / sim::to_sec(diurnal_period);
     m *= 1.0 + diurnal_depth * std::sin(kTwoPi * frac);
   }
-  if (flash_multiplier != 1.0 && t >= flash_start &&
-      t < flash_start + flash_duration) {
-    m *= flash_multiplier;
-  }
+  if (in_flash(t)) m *= flash_multiplier;
   return m;
 }
 
@@ -61,14 +58,26 @@ sim::SimTime RequestSource::next() {
   // probability rate(t)/peak. modulation() is bounded away from zero (depth
   // < 1, multiplier >= 1), so acceptance probability has a positive floor
   // and the loop terminates.
+  //
+  // Squeeze: the computed modulation is fl(1 + fl(depth * s)) with
+  // |s| <= 1, times a multiplier >= 1 inside the flash window. Rounding is
+  // monotone, so it never falls below fl(1 - depth), and outside the window
+  // it never exceeds fl(1 + depth). Where those bounds already decide the
+  // test, the sin() is skipped; the decision, and the draws, are exactly
+  // those of the plain test.
   const double peak = shape_.peak_factor();
+  const double floor = 1.0 - shape_.diurnal_depth;
+  const double ceiling = 1.0 + shape_.diurnal_depth;
   while (true) {
     const sim::SimTime gap = sim::from_sec(rng_.exponential(candidate_gap_s_));
     t_ += std::max<sim::SimTime>(1, gap);
-    if (rng_.uniform() * peak < shape_.modulation(t_)) {
-      ++issued_;
-      return t_;
+    const double u = rng_.uniform() * peak;
+    if (u >= floor) {
+      if (u >= ceiling && !shape_.in_flash(t_)) continue;
+      if (u >= shape_.modulation(t_)) continue;
     }
+    ++issued_;
+    return t_;
   }
 }
 

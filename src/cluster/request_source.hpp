@@ -43,6 +43,12 @@ struct TrafficShape {
   /// rate(t) / base_rate, in (0, peak_factor()].
   double modulation(sim::SimTime t) const;
 
+  /// True while the flash pulse multiplies the rate.
+  bool in_flash(sim::SimTime t) const {
+    return flash_multiplier != 1.0 && t >= flash_start &&
+           t < flash_start + flash_duration;
+  }
+
   /// Max of modulation() over all t: (1 + depth) * flash_multiplier. The
   /// thinning sampler proposes candidates at base * peak_factor().
   double peak_factor() const {

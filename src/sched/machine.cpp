@@ -80,7 +80,7 @@ Machine::Machine(MachineConfig config)
   tm_active_.assign(config_.num_cores, false);
   if (config_.thermal_reference_stepper) {
     schedule_substep();
-  } else {
+  } else if (!monitor_covers_watchdog()) {
     schedule_thermal_watchdog();
   }
   schedule_schedcpu();
@@ -250,6 +250,15 @@ void Machine::integrate_span(sim::SimTime to) {
   for (std::size_t i = 0; i < n; ++i) {
     carry_joules_[i] = network_.power(i) * tail;
   }
+}
+
+bool Machine::monitor_covers_watchdog() const {
+  // The monitor tick advances the thermal clock at every multiple of its
+  // period, so a watchdog whose period is a positive multiple of it would
+  // only repeat an advance_thermal(t) that is a no-op at equal t.
+  const sim::SimTime period = config_.thermal_monitor_period;
+  return config_.hw_thermal_throttle && period > 0 &&
+         config_.thermal_watchdog > 0 && config_.thermal_watchdog % period == 0;
 }
 
 void Machine::schedule_substep() {

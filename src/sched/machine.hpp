@@ -87,7 +87,12 @@ struct MachineConfig {
   /// Upper bound on the span between thermal advances (a coarse self-
   /// rescheduling event). Power — including temperature-dependent leakage —
   /// is held constant across each span, so this bounds the leakage-feedback
-  /// refresh interval on an otherwise quiet machine.
+  /// refresh interval on an otherwise quiet machine. The event is not armed
+  /// when the thermal monitor's tick already lands on its instants
+  /// (`hw_thermal_throttle` on and this a positive multiple of
+  /// `thermal_monitor_period`, as in the default 5 ms / 5 ms): the monitor
+  /// advances the thermal clock at each tick, so results are identical and
+  /// the machine runs one periodic thermal tick instead of two.
   sim::SimTime thermal_watchdog = sim::from_ms(5);
 
   /// Testing/benchmark mode: the sequential reference — a self-rescheduling
@@ -321,6 +326,9 @@ class Machine {
   void sync_thermal_counters();
   void schedule_substep();
   void schedule_thermal_watchdog();
+  /// True when the PROCHOT monitor's tick lands on every watchdog instant;
+  /// the watchdog is then not armed (one periodic thermal tick, not two).
+  bool monitor_covers_watchdog() const;
   void schedule_meter_sample();
   void schedule_trace_sensor();
   void schedule_schedcpu();

@@ -33,7 +33,12 @@ namespace dimetrodon::sim {
 /// their energy and are charged as mean power), so modelled results shift
 /// slightly; the bump keeps cached records from older versions from being
 /// replayed as if this model had produced them.
-inline constexpr int kCanonVersion = 10;
+///
+/// v11: run specs' machine section gained `watchdog` and `ref_stepper`
+/// (MachineConfig::thermal_watchdog and thermal_reference_stepper); both
+/// change modelled results, and specs differing only in one of them used to
+/// share a cache entry.
+inline constexpr int kCanonVersion = 11;
 
 /// The one way canonical text is produced. Fields render as "key=value "
 /// with doubles in hex-float (%a) so the text is bit-exact, integers in hex,

@@ -14,7 +14,8 @@ constexpr std::size_t kCompactMinEntries = 64;
 
 namespace detail {
 
-std::uint32_t ControlArena::alloc(SimTime at, std::uint64_t seq) {
+std::uint32_t ControlArena::alloc(SimTime at, std::uint64_t seq,
+                                  EventCallback fn) {
   std::uint32_t idx;
   if (free_head != kNoSlot) {
     idx = free_head;
@@ -26,6 +27,7 @@ std::uint32_t ControlArena::alloc(SimTime at, std::uint64_t seq) {
   ControlSlot& s = slots[idx];
   s.at = at;
   s.seq = seq;
+  s.fn = std::move(fn);
   s.next_free = kNoSlot;
   s.occupied = true;
   ++live;
@@ -40,6 +42,9 @@ void ControlArena::release(std::uint32_t idx) {
   s.next_free = free_head;
   free_head = idx;
   --live;
+  // Destroy the closure last, from a local: its captures' destructors may
+  // re-enter the queue, and must find the slot already released.
+  EventCallback dead = std::move(s.fn);
 }
 
 }  // namespace detail
@@ -64,12 +69,12 @@ std::uint64_t EventHandle::seq() const {
 }
 
 EventHandle EventQueue::schedule(SimTime at, Callback fn) {
-  assert(at >= 0);
+  assert(at >= 0 && at != kTimeInfinity);
   maybe_compact();
   const std::uint64_t seq = next_seq_++;
-  const std::uint32_t slot = arena_->alloc(at, seq);
+  const std::uint32_t slot = arena_->alloc(at, seq, std::move(fn));
   const std::uint64_t gen = arena_->slots[slot].gen;
-  heap_.push_back(Entry{at, seq, std::move(fn), slot, gen});
+  heap_.push_back(Entry{at, seq, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   return EventHandle(arena_, slot, gen);
 }
@@ -109,12 +114,13 @@ SimTime EventQueue::pop_and_run() {
   drop_cancelled_head();
   assert(!heap_.empty());
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  // Move out before running: the callback may schedule new events and
-  // reallocate the heap storage.
-  Entry e = std::move(heap_.back());
+  const Entry e = heap_.back();
   heap_.pop_back();
+  // Move the callback out before running it: it may schedule new events,
+  // which can reuse this slot or reallocate the arena.
+  Callback fn = std::move(arena_->slots[e.slot].fn);
   arena_->release(e.slot);  // fired: outstanding handles go inert
-  e.fn(e.at);
+  fn(e.at);
   return e.at;
 }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -13,21 +14,27 @@ namespace detail {
 
 inline constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-/// One control slot in the arena. A slot is (re)used by many events over its
-/// lifetime; `gen` disambiguates: a handle or heap entry captures (slot, gen)
-/// at schedule time and is inert once the generation moves on (the event
-/// fired or was cancelled). `at`/`seq` are mirrored here so a live handle can
-/// report its scheduled time and tie-break rank without touching the heap.
+/// Callback type of every scheduled event; receives the firing timestamp.
+using EventCallback = std::function<void(SimTime)>;
+
+/// One control slot in the arena: the owner of a pending event's callback
+/// and the authority on whether that event is still live. A slot is (re)used
+/// by many events over its lifetime. A handle captures (slot, gen) at
+/// schedule time and goes inert once the generation moves on (the event
+/// fired or was cancelled); a heap entry captures (slot, seq) and is live
+/// only while the slot is occupied by that same seq. `at`/`seq` are mirrored
+/// here so a live handle can report its scheduled time and tie-break rank
+/// without touching the heap.
 struct ControlSlot {
   std::uint64_t gen = 0;
   SimTime at = 0;
   std::uint64_t seq = 0;
+  EventCallback fn;
   std::uint32_t next_free = kNoSlot;
   bool occupied = false;
 };
 
-/// Slab of control slots with an intrusive free list. Replaces the previous
-/// one-shared_ptr-allocation-per-event control blocks: steady-state timer
+/// Slab of control slots with an intrusive free list. Steady-state timer
 /// churn (schedule/cancel/fire) recycles slots with zero allocation, and the
 /// live count sits in one place. Held by shared_ptr so handles may safely
 /// outlive the queue.
@@ -36,10 +43,15 @@ struct ControlArena {
   std::uint32_t free_head = kNoSlot;
   std::size_t live = 0;
 
-  std::uint32_t alloc(SimTime at, std::uint64_t seq);
-  void release(std::uint32_t idx);  // bump gen, push on free list
+  std::uint32_t alloc(SimTime at, std::uint64_t seq, EventCallback fn);
+  /// Bump gen, push on the free list, and destroy the slot's callback (and
+  /// with it everything the closure captured) at once.
+  void release(std::uint32_t idx);
   bool matches(std::uint32_t idx, std::uint64_t gen) const {
     return idx != kNoSlot && slots[idx].occupied && slots[idx].gen == gen;
+  }
+  bool holds(std::uint32_t idx, std::uint64_t seq) const {
+    return slots[idx].occupied && slots[idx].seq == seq;
   }
 };
 
@@ -81,6 +93,10 @@ class EventHandle {
 /// Min-heap of timestamped callbacks. Ties break by insertion order so event
 /// delivery is fully deterministic.
 ///
+/// The heap holds plain 24-byte (at, seq, slot) entries; the callback lives
+/// in the entry's arena slot, so sifts move no closures. An entry is live
+/// while its slot is occupied by the same seq.
+///
 /// Cancellation is lazy, but bounded: when cancelled carcasses outnumber
 /// live events in a sufficiently large heap, the heap is compacted in place,
 /// so timer-churn workloads (a web run cancelling millions of timeouts) hold
@@ -88,11 +104,18 @@ class EventHandle {
 /// preserves the (time, seq) total order, so delivery stays deterministic.
 class EventQueue {
  public:
-  using Callback = std::function<void(SimTime)>;
+  using Callback = detail::EventCallback;
 
   EventQueue() : arena_(std::make_shared<detail::ControlArena>()) {}
+  // Pending callbacks live in the arena, which outlasting handles keep
+  // alive; dropping them here keeps a closure that captures a handle from
+  // pinning the arena (and itself) forever.
+  ~EventQueue() { clear(); }
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedule `fn` at absolute time `at`. Requires at >= 0.
+  /// Schedule `fn` at absolute time `at`. Requires 0 <= at < kTimeInfinity
+  /// (next_time() reserves kTimeInfinity for "empty").
   EventHandle schedule(SimTime at, Callback fn);
 
   /// True if no live events remain. (Lazily discards cancelled heap entries.)
@@ -101,7 +124,8 @@ class EventQueue {
   /// Timestamp of the earliest live event; kTimeInfinity when empty.
   SimTime next_time();
 
-  /// Pop and run the earliest live event, returning its timestamp.
+  /// Pop and run the earliest live event, returning its timestamp. The
+  /// callback is moved out of its slot and the slot released before it runs.
   /// Requires !empty().
   SimTime pop_and_run();
 
@@ -122,10 +146,9 @@ class EventQueue {
   struct Entry {
     SimTime at;
     std::uint64_t seq;
-    Callback fn;
     std::uint32_t slot;
-    std::uint64_t gen;
   };
+  static_assert(sizeof(Entry) == 24 && std::is_trivially_copyable_v<Entry>);
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.at != b.at) return a.at > b.at;
@@ -133,7 +156,7 @@ class EventQueue {
     }
   };
 
-  bool entry_live(const Entry& e) const { return arena_->matches(e.slot, e.gen); }
+  bool entry_live(const Entry& e) const { return arena_->holds(e.slot, e.seq); }
   void drop_cancelled_head();
   void maybe_compact();
 

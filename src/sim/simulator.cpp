@@ -15,10 +15,13 @@ EventHandle Simulator::after(SimTime delay, EventQueue::Callback fn) {
 }
 
 void Simulator::run_until(SimTime deadline) {
-  while (!queue_.empty() && queue_.next_time() <= deadline) {
+  // One head query per event: next_time() drops cancelled carcasses and
+  // reports kTimeInfinity once the queue is empty.
+  for (SimTime t = queue_.next_time(); t <= deadline && t != kTimeInfinity;
+       t = queue_.next_time()) {
     // Advance the clock BEFORE the callback runs so now() is correct inside
     // it (callbacks routinely schedule relative follow-ups).
-    now_ = queue_.next_time();
+    now_ = t;
     queue_.pop_and_run();
     ++events_executed_;
   }
@@ -26,8 +29,9 @@ void Simulator::run_until(SimTime deadline) {
 }
 
 bool Simulator::step() {
-  if (queue_.empty()) return false;
-  now_ = queue_.next_time();
+  const SimTime t = queue_.next_time();
+  if (t == kTimeInfinity) return false;
+  now_ = t;
   queue_.pop_and_run();
   ++events_executed_;
   return true;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace dimetrodon::cluster {
@@ -234,6 +236,49 @@ TEST(TrafficShapeTest, LargeDiurnalPhaseWrapsAroundThePeriod) {
     const sim::SimTime t = src.next();
     ASSERT_GT(t, prev);
     prev = t;
+  }
+}
+
+// The thinning loop without the squeeze: one sin() per candidate. The
+// production sampler must reproduce it arrival for arrival.
+std::vector<sim::SimTime> plain_thinning(std::uint64_t seed, double rate,
+                                         const TrafficShape& shape, int n) {
+  sim::Rng rng = sim::Rng::stream(seed, 0);
+  const double peak = shape.peak_factor();
+  const double gap_s = 1.0 / (rate * peak);
+  std::vector<sim::SimTime> out;
+  sim::SimTime t = 0;
+  while (static_cast<int>(out.size()) < n) {
+    t += std::max<sim::SimTime>(1, sim::from_sec(rng.exponential(gap_s)));
+    if (rng.uniform() * peak < shape.modulation(t)) out.push_back(t);
+  }
+  return out;
+}
+
+TEST(TrafficShapeTest, SqueezedThinningMatchesThePlainLoop) {
+  // 10^5 arrivals at 600k rps span ~0.17 s: many diurnal periods, with the
+  // flash window in the middle, so both squeeze bounds and the sin() path
+  // all decide candidates.
+  const sim::SimTime period = sim::from_ms(40);
+  TrafficShape flash_only;
+  flash_only.with_flash(sim::from_ms(50), sim::from_ms(60), 3.0);
+  const std::vector<std::pair<const char*, TrafficShape>> shapes = {
+      {"diurnal", TrafficShape::diurnal(period, 0.6, sim::from_ms(7))},
+      {"flash", flash_only},
+      {"both", TrafficShape::diurnal(period, 0.35).with_flash(
+                   sim::from_ms(50), sim::from_ms(60), 2.5)},
+      {"depth 0.99", TrafficShape::diurnal(period, 0.99)},
+  };
+  constexpr int kArrivals = 100'000;
+  for (const auto& [name, shape] : shapes) {
+    for (const std::uint64_t seed : {1u, 2u}) {
+      RequestSource src(seed, 0, 600'000.0, shape);
+      std::vector<sim::SimTime> got;
+      got.reserve(kArrivals);
+      for (int i = 0; i < kArrivals; ++i) got.push_back(src.next());
+      EXPECT_EQ(got, plain_thinning(seed, 600'000.0, shape, kArrivals))
+          << name << ", seed " << seed;
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "runner/result_cache.hpp"
 #include "runner/run_spec.hpp"
 #include "sim/canon.hpp"
 
@@ -65,6 +66,28 @@ TEST(CanonicalSpecTest, EveryDataFieldPerturbsTheText) {
   machine.machine = sched::MachineConfig{};
   machine.machine->floorplan.fan_speed_fraction = 0.9;
   EXPECT_NE(base, canon(machine));
+}
+
+TEST(CanonicalSpecTest, ThermalClockFieldsGetTheirOwnCacheKeys) {
+  // The watchdog period bounds the leakage-refresh span when the monitor
+  // does not cover it, and the reference stepper refreshes power at every
+  // substep: both move modelled results, so a spec differing only in one of
+  // them must not replay the other's cached record.
+  const auto key = [](const RunSpec& s) {
+    return CacheKey::of(canon(s)).hex();
+  };
+  const std::string base = key(base_spec());
+
+  RunSpec watchdog = base_spec();
+  watchdog.machine = sched::MachineConfig{};
+  watchdog.machine->thermal_watchdog = sim::from_ms(7);
+  EXPECT_NE(base, key(watchdog));
+
+  RunSpec stepper = base_spec();
+  stepper.machine = sched::MachineConfig{};
+  stepper.machine->thermal_reference_stepper = true;
+  EXPECT_NE(base, key(stepper));
+  EXPECT_NE(key(watchdog), key(stepper));
 }
 
 TEST(CanonicalSpecTest, GovernorParametersEnterTheActuationSection) {

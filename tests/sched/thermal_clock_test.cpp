@@ -1,5 +1,6 @@
 // The lazy, event-free thermal clock: thermal state advances only at machine
-// interaction points plus a coarse watchdog, fast-forwarded through the
+// interaction points plus one coarse periodic tick (the watchdog, or the
+// PROCHOT monitor standing in for it), fast-forwarded through the
 // closed-form propagator. These tests pin the equivalence and the event-queue
 // collapse that justify deleting the 250 µs substep event.
 #include <gtest/gtest.h>
@@ -82,7 +83,8 @@ TEST(ThermalClockTest, EventQueueTrafficCollapses) {
   ref.run_for(sim::from_sec(2));
   fast.run_for(sim::from_sec(2));
   // 250 µs substep events dominate the reference queue (~4000/s); the lazy
-  // clock leaves only scheduler events, the 5 ms monitor and the watchdog.
+  // clock leaves only scheduler events and one 5 ms tick (the monitor's,
+  // which covers the watchdog).
   EXPECT_LT(fast.simulator().events_executed() * 5,
             ref.simulator().events_executed());
 }
@@ -196,6 +198,71 @@ TEST(ThermalClockTest, WatchdogBoundsThermalStaleness) {
   const std::uint64_t expected =
       static_cast<std::uint64_t>(sim::from_sec(10) / cfg.thermal_substep);
   EXPECT_GE(t.thermal_substeps, expected);
+}
+
+// One periodic thermal tick: advance_thermal(t) is a no-op at an equal t, so
+// whichever 5 ms tick reaches an instant first fixes the same span
+// boundaries. A monitor-only machine (PROCHOT on but out of reach) and a
+// watchdog-only machine (PROCHOT off) must follow the exact same trajectory
+// at the exact same event cost.
+TEST(ThermalClockTest, MonitorTickStandsInForTheWatchdog) {
+  MachineConfig monitor_cfg = base_config();
+  monitor_cfg.prochot_c = 1e6;  // ticks, never throttles
+  monitor_cfg.prochot_release_c = 1e6 - 5.0;
+  MachineConfig watchdog_cfg = base_config();
+  watchdog_cfg.hw_thermal_throttle = false;
+
+  Machine a(monitor_cfg);
+  Machine b(watchdog_cfg);
+  // Injected idle quanta end spans at irregular instants between the ticks.
+  core::DimetrodonController ctl_a(a);
+  core::DimetrodonController ctl_b(b);
+  ctl_a.sys_set_global(0.5, sim::from_ms(3));
+  ctl_b.sys_set_global(0.5, sim::from_ms(3));
+  workload::CpuBurnFleet fleet_a(4), fleet_b(4);
+  fleet_a.deploy(a);
+  fleet_b.deploy(b);
+  a.run_for(sim::from_sec(3));
+  b.run_for(sim::from_sec(3));
+
+  EXPECT_EQ(die_temps(a), die_temps(b));
+  EXPECT_EQ(a.energy().total_joules(), b.energy().total_joules());
+  EXPECT_EQ(fleet_a.progress(a), fleet_b.progress(b));
+  EXPECT_EQ(a.counters().totals().thermal_substeps,
+            b.counters().totals().thermal_substeps);
+  EXPECT_EQ(a.simulator().events_executed(), b.simulator().events_executed());
+}
+
+TEST(ThermalClockTest, WatchdogIsArmedOnlyWhenTheMonitorMissesItsInstants) {
+  const auto stamps = [](const MachineConfig& cfg) {
+    Machine m(cfg);
+    workload::CpuBurnFleet fleet(4);
+    fleet.deploy(m);
+    m.run_for(sim::from_ms(12));
+    return m.snapshot();
+  };
+  // Default: 5 ms watchdog, 5 ms monitor -> one tick.
+  const MachineSnapshot def = stamps(base_config());
+  EXPECT_FALSE(def.watchdog.armed);
+  EXPECT_TRUE(def.monitor.armed);
+
+  MachineConfig multiple = base_config();
+  multiple.thermal_watchdog = 4 * multiple.thermal_monitor_period;
+  EXPECT_FALSE(stamps(multiple).watchdog.armed);
+
+  MachineConfig off_grid = base_config();
+  off_grid.thermal_watchdog = sim::from_ms(7);
+  const MachineSnapshot s = stamps(off_grid);
+  EXPECT_TRUE(s.watchdog.armed);
+  EXPECT_EQ(s.watchdog.at, sim::from_ms(14));
+
+  MachineConfig finer = base_config();
+  finer.thermal_watchdog = finer.thermal_substep;
+  EXPECT_TRUE(stamps(finer).watchdog.armed);
+
+  MachineConfig no_monitor = base_config();
+  no_monitor.hw_thermal_throttle = false;
+  EXPECT_TRUE(stamps(no_monitor).watchdog.armed);
 }
 
 }  // namespace
