@@ -22,7 +22,7 @@ PercentileHistogram::PercentileHistogram(double min_value, double max_value)
   std::frexp(min_value_, &min_exp_);
   std::frexp(max_value_, &max_exp);
   const std::size_t octaves = static_cast<std::size_t>(max_exp - min_exp_ + 1);
-  buckets_.assign(octaves * kSubBuckets, 0);
+  num_buckets_ = octaves * kSubBuckets;
 }
 
 std::size_t PercentileHistogram::bucket_index(double v) const {
@@ -34,7 +34,7 @@ std::size_t PercentileHistogram::bucket_index(double v) const {
   const std::size_t idx =
       static_cast<std::size_t>(e - min_exp_) * kSubBuckets +
       static_cast<std::size_t>(sub);
-  return std::min(idx, buckets_.size() - 1);
+  return std::min(idx, num_buckets_ - 1);
 }
 
 double PercentileHistogram::bucket_midpoint(std::size_t idx) const {
@@ -61,6 +61,7 @@ void PercentileHistogram::add(double value) {
   }
   ++count_;
   sum_ += value;
+  if (buckets_.empty()) buckets_.assign(num_buckets_, 0);
   ++buckets_[bucket_index(value)];
 }
 
@@ -79,6 +80,7 @@ void PercentileHistogram::merge(const PercentileHistogram& other) {
   }
   count_ += other.count_;
   sum_ += other.sum_;
+  if (buckets_.empty()) buckets_.assign(num_buckets_, 0);
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     buckets_[i] += other.buckets_[i];
   }

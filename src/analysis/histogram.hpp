@@ -15,6 +15,11 @@ namespace dimetrodon::analysis {
 /// Determinism: bucket placement is a pure function of the value and the
 /// (min_value, max_value) layout, so identical value sequences produce
 /// bit-identical quantiles regardless of thread count or insertion batching.
+///
+/// The bucket array is allocated lazily, on the first finite add() or the
+/// first non-empty merge(): a histogram that never sees a sample (a fleet
+/// node's unopened QoS window) costs its inline size only. The layout, and
+/// so num_buckets(), is fixed at construction either way.
 class PercentileHistogram {
  public:
   /// Trackable range; values outside are clamped into the edge buckets (the
@@ -52,7 +57,9 @@ class PercentileHistogram {
     return min_value_ == other.min_value_ && max_value_ == other.max_value_;
   }
 
-  std::size_t num_buckets() const { return buckets_.size(); }
+  std::size_t num_buckets() const { return num_buckets_; }
+  /// Whether the bucket array has been allocated yet (see the class note).
+  bool has_buckets() const { return !buckets_.empty(); }
 
  private:
   std::size_t bucket_index(double v) const;
@@ -61,7 +68,8 @@ class PercentileHistogram {
   double min_value_;
   double max_value_;
   int min_exp_;  // frexp exponent of min_value_
-  std::vector<std::uint64_t> buckets_;
+  std::size_t num_buckets_;
+  std::vector<std::uint64_t> buckets_;  // empty, or num_buckets_ counts
   std::uint64_t count_ = 0;
   std::uint64_t rejected_ = 0;
   double sum_ = 0.0;

@@ -1,6 +1,7 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <exception>
 #include <functional>
@@ -137,7 +138,6 @@ Cluster::Cluster(ClusterConfig config, std::unique_ptr<LoadBalancer> balancer)
 
     node.web = std::make_unique<workload::WebWorkload>(config_.web);
     node.web->deploy(*node.machine);
-    node.web->mark();
     node.web->set_completion_callback(
         [this, i](std::uint32_t id, double latency_s) {
           on_complete(i, id, latency_s);
@@ -273,16 +273,24 @@ void Cluster::run_chunk(std::size_t begin, std::size_t end, sim::SimTime t) {
     Node& node = nodes_[i];
     // Detached nodes are frozen: no backlog (rebuild_routable excludes
     // them before detach), no advance, no telemetry.
-    if (admin_[i] == AdminState::kDetached) continue;
+    if (admin_[i] == AdminState::kDetached) {
+      assert(node.backlog_head == kNoArrival);
+      continue;
+    }
     // Replay the backlog: each deferred arrival advances the machine to its
     // arrival time and injects, exactly the interaction sequence the eager
     // path performed at route time — the machine cannot tell the difference.
-    for (const PendingArrival& a : node.backlog) {
+    // The arena is shared by every lane and only read here; the chain
+    // reset touches this node alone.
+    for (std::uint32_t k = node.backlog_head; k != kNoArrival;
+         k = arrivals_[k].next) {
+      const PendingArrival& a = arrivals_[k];
       node.machine->run_until(a.at);
       ++advances;
       node.web->inject_request(a.rid, a.demand_scale, a.issued_at);
     }
-    node.backlog.clear();
+    node.backlog_head = kNoArrival;
+    node.backlog_tail = kNoArrival;
     node.machine->run_until(t);
     ++advances;
     compute_node_telemetry(i);
@@ -294,6 +302,7 @@ void Cluster::advance_fleet(sim::SimTime t) {
   const std::size_t n = nodes_.size();
   if (pool_ == nullptr) {
     run_chunk(0, n, t);
+    arrivals_.clear();
     return;
   }
   // Contiguous chunks, a few per lane so stealing can level uneven nodes
@@ -319,6 +328,8 @@ void Cluster::advance_fleet(sim::SimTime t) {
   for (const std::exception_ptr& e : errors) {
     if (e) std::rethrow_exception(e);
   }
+  // After the barrier: every chain has been replayed and reset.
+  arrivals_.clear();
 }
 
 void Cluster::compute_node_telemetry(std::size_t i) {
@@ -473,6 +484,24 @@ void Cluster::rebuild_routable() {
   }
 }
 
+void Cluster::defer_arrival(std::size_t id, const PendingArrival& a) {
+  Node& node = nodes_.at(id);
+  if (arrivals_.size() >= kNoArrival) {
+    throw std::length_error(
+        "cluster: more deferred arrivals in one telemetry period than a "
+        "32-bit arena index can address");
+  }
+  const auto k = static_cast<std::uint32_t>(arrivals_.size());
+  arrivals_.push_back(a);
+  arrivals_.back().next = kNoArrival;
+  if (node.backlog_tail == kNoArrival) {
+    node.backlog_head = k;
+  } else {
+    arrivals_[node.backlog_tail].next = k;
+  }
+  node.backlog_tail = k;
+}
+
 void Cluster::route(sim::SimTime t) {
   double demand_scale = 1.0;
   std::uint8_t size_class = 0;
@@ -495,17 +524,16 @@ void Cluster::route(sim::SimTime t) {
   const std::size_t id =
       affinity != 0 ? routable_[affinity % routable_.size()]
                     : balancer_->pick(fleet_view());
-  Node& node = nodes_.at(id);
   // Deferred advancement: the arrival is recorded, not simulated — the node
   // replays its backlog at the next fleet flush, where the advance can run
   // in parallel with every other node's. The balancer sees the routed count
   // immediately (outstanding_ increments here, logged in touched_ for its
   // index, on the affinity path too); it sees completions only at sweeps,
   // when the flush drains them.
-  node.backlog.push_back({t, rid, demand_scale, -1});
+  defer_arrival(id, {.at = t, .rid = rid, .demand_scale = demand_scale});
   ++outstanding_[id];
   touched_.push_back(static_cast<std::uint32_t>(id));
-  ++node.stats.routed;
+  ++nodes_[id].stats.routed;
   tracer_.request_routed(t, static_cast<std::uint32_t>(id), rid, size_class,
                          affinity);
 }
@@ -654,8 +682,10 @@ void Cluster::admin_remove(std::size_t i) {
     }
     tracer_.request_rehomed();
     const std::size_t target = balancer_->pick(fleet_view());
-    nodes_.at(target).backlog.push_back(
-        {now_, c.request_id, c.demand_scale, c.issued_at});
+    defer_arrival(target, {.at = now_,
+                           .rid = c.request_id,
+                           .demand_scale = c.demand_scale,
+                           .issued_at = c.issued_at});
     ++outstanding_[target];
     touched_.push_back(static_cast<std::uint32_t>(target));
   }
@@ -716,7 +746,6 @@ std::size_t Cluster::admin_join(const NodeSpec& spec, sim::SimTime warmup) {
     node.web = std::make_unique<workload::WebWorkload>(config_.web);
     node.web->deploy(*node.machine);
   }
-  node.web->mark();
   node.web->set_completion_callback(
       [this, id](std::uint32_t rid, double latency_s) {
         on_complete(id, rid, latency_s);

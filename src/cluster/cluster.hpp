@@ -219,11 +219,11 @@ struct ClusterResult {
 ///    arrival and the next telemetry sweep — regardless of fleet size;
 ///    coordination state beyond that is the O(racks) thermal layer.
 ///  * Machines advance lazily AND in parallel: an arrival only records a
-///    (time, request-id) entry in the routed-to node's backlog; the fleet
-///    synchronizes once per telemetry period (and at run end), where each
-///    node replays its backlog and catches up to the sweep time — fanned
-///    across a work-stealing pool, since the machines are independent
-///    simulations. Every cross-node effect (telemetry SoA refresh, drain
+///    (time, request-id) entry in the fleet-wide arrival arena, chained onto
+///    the routed-to node's backlog; the fleet synchronizes once per
+///    telemetry period (and at run end), where each node replays its
+///    backlog and catches up to the sweep time — fanned across a
+///    work-stealing pool, since the machines are independent simulations. Every cross-node effect (telemetry SoA refresh, drain
 ///    transitions, trace events, rack/CRAC step, stats) is applied in fixed
 ///    node order AFTER the barrier, from per-node buffers filled during the
 ///    parallel phase. Balancer views are therefore stale by up to one
@@ -328,6 +328,10 @@ class Cluster {
   /// Number of racks (0 when the rack layer is disabled).
   std::size_t num_racks() const { return rack_air_node_.size(); }
   sched::Machine& machine(std::size_t i) { return *nodes_.at(i).machine; }
+  /// Node i's web workload. The cluster never opens its QoS window (the
+  /// fleet-wide QoS is ClusterResult::qos), so stats_since_mark() reads
+  /// empty until the caller opens one with web(i).mark(); a closed window
+  /// costs no histogram storage.
   workload::WebWorkload& web(std::size_t i) { return *nodes_.at(i).web; }
   bool draining(std::size_t i) const { return draining_.at(i) != 0; }
   AdminState admin_state(std::size_t i) const { return admin_.at(i); }
@@ -359,6 +363,10 @@ class Cluster {
   std::uint64_t machine_advances() const {
     return machine_advances_.load(std::memory_order_relaxed);
   }
+  /// Arrivals deferred to the next fleet flush (the shared arena's size).
+  /// 0 after run() and after every admin_* call's flush; admin_remove then
+  /// leaves exactly the requests it re-homed.
+  std::size_t deferred_arrivals() const { return arrivals_.size(); }
   /// Resolved fleet-advancement lanes (1 = serial path). Diagnostics/tests;
   /// never observable in results.
   std::size_t fleet_lanes() const { return lanes_; }
@@ -366,17 +374,25 @@ class Cluster {
   sim::SimTime now() const { return now_; }
 
  private:
+  /// End of a node's arrival chain (and "no backlog" for its head/tail).
+  static constexpr std::uint32_t kNoArrival = 0xffffffffu;
+
   /// An arrival routed to a node but not yet injected into its machine:
   /// replayed (run_until(at) + inject) at the next fleet flush, on whatever
-  /// lane owns the node.
+  /// lane owns the node. Entries live in the fleet-wide arena (arrivals_),
+  /// each node's chained in route order through `next`.
   struct PendingArrival {
     sim::SimTime at = 0;
     std::uint32_t rid = 0;
+    /// Arena index of the node's next deferred arrival, or kNoArrival.
+    std::uint32_t next = kNoArrival;
     double demand_scale = 1.0;
     /// Original issue time for re-homed requests (latency accrues from the
     /// first routing, not the re-route); -1 = issued at `at`.
     sim::SimTime issued_at = -1;
   };
+  // The chain index sits in what would otherwise be padding after `rid`.
+  static_assert(sizeof(PendingArrival) == 32);
 
   /// A completion that fired during a node's (possibly parallel) advance.
   /// Buffered per node; the fleet-wide effects (QoS, histogram, trace) are
@@ -401,7 +417,10 @@ class Cluster {
     analysis::OnlineStats temp_avg;
     /// Energy reading at the last rack-layer update (power = delta / dt).
     double last_energy_j = 0.0;
-    std::vector<PendingArrival> backlog;
+    /// This node's deferred arrivals: a chain through arrivals_, oldest
+    /// first (kNoArrival when the backlog is empty).
+    std::uint32_t backlog_head = kNoArrival;
+    std::uint32_t backlog_tail = kNoArrival;
     std::vector<CompletionRecord> completions;
   };
 
@@ -445,6 +464,10 @@ class Cluster {
   void invalidate_view();
   /// Recompute the routable set (and invalidate the view).
   void rebuild_routable();
+  /// Append an arrival to the arena and to node `id`'s chain. Serial side
+  /// only (route, admin_remove's re-homing): lanes read the arena, never
+  /// write it.
+  void defer_arrival(std::size_t id, const PendingArrival& a);
   void route(sim::SimTime t);
   void on_complete(std::size_t node, std::uint32_t id, double latency_s);
 
@@ -453,6 +476,11 @@ class Cluster {
   RequestSource source_;
   std::vector<Node> nodes_;
   obs::Tracer tracer_;
+  /// Every node's deferred arrivals since the last flush, in route order.
+  /// One arena for the fleet, so its capacity is the largest per-period
+  /// arrival count, not the sum of every node's own peak backlog.
+  /// advance_fleet empties it after the barrier.
+  std::vector<PendingArrival> arrivals_;
 
   // Fleet-advancement parallelism (resolve_parallelism). pool_ is null on
   // the serial path; own_pool_ engages only when no engine pool is shared.

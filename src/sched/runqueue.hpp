@@ -1,8 +1,9 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <vector>
 
 #include "sched/thread.hpp"
@@ -13,6 +14,13 @@ namespace dimetrodon::sched {
 /// round robin within a bucket (the structure of FreeBSD 7.2's default
 /// scheduler, which the paper modified). Priorities grow with accumulated CPU
 /// usage (estcpu) and nice, so CPU hogs sink below interactive threads.
+///
+/// Layout follows FreeBSD's own `runq`: one occupancy word whose bit b is set
+/// iff bucket b is non-empty (`rq_status` over `rq_queues`). Every walk
+/// visits set bits only, lowest first, so a machine that uses a handful of
+/// buckets never touches the rest. Buckets are plain vectors: an empty one
+/// owns no heap memory, which keeps an idle fleet node's queue at its
+/// inline size.
 class RunQueue {
  public:
   static constexpr int kNumBuckets = 64;
@@ -51,8 +59,8 @@ class RunQueue {
   /// this order into an empty queue — after their estcpu/nice have been
   /// restored — reproduces the bucket contents exactly (snapshot support).
   void queued_in_order(std::vector<Thread*>& out) const {
-    for (const auto& bucket : buckets_) {
-      for (Thread* t : bucket) out.push_back(t);
+    for (std::uint64_t bits = occupied_; bits != 0; bits &= bits - 1) {
+      for (Thread* t : buckets_[first_bucket(bits)]) out.push_back(t);
     }
   }
 
@@ -60,7 +68,17 @@ class RunQueue {
   bool empty() const { return size_ == 0; }
 
  private:
-  std::array<std::deque<Thread*>, kNumBuckets> buckets_{};
+  static std::size_t first_bucket(std::uint64_t bits) {
+    return static_cast<std::size_t>(std::countr_zero(bits));
+  }
+  static std::size_t bucket_of(const Thread& t) {
+    return static_cast<std::size_t>(priority_of(t) / 4);
+  }
+  /// Erase buckets_[b][pos], clearing b's occupancy bit if it empties.
+  void erase_at(std::size_t b, std::size_t pos);
+
+  std::array<std::vector<Thread*>, kNumBuckets> buckets_{};
+  std::uint64_t occupied_ = 0;  // bit b set iff buckets_[b] is non-empty
   std::size_t size_ = 0;
 };
 

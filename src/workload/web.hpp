@@ -67,6 +67,11 @@ class WebWorkload final : public Workload {
   /// Start/stop windowed QoS accounting.
   void mark();
   QosStats stats_since_mark() const;
+  /// The window's latency histogram. It allocates its buckets on the first
+  /// completion inside an open window, so an unmarked workload owns none.
+  const analysis::PercentileHistogram& window_histogram() const {
+    return window_hist_;
+  }
 
   // --- open-loop interface (cluster layer) --------------------------------
   /// Invoked at completion of an externally injected request with its id and

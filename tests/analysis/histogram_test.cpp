@@ -206,6 +206,98 @@ TEST(PercentileHistogramTest, MergeWithEmptyIsIdentity) {
   EXPECT_DOUBLE_EQ(empty.percentile(95.0), p95);
 }
 
+// --- lazy bucket storage ------------------------------------------------------
+// The bucket array is allocated on the first finite add() or the first
+// non-empty merge(); the layout (num_buckets()) is fixed at construction.
+
+// Default layout [1e-6, 1e5]: frexp exponents -19 .. 17, 37 octaves of 64.
+constexpr std::size_t kDefaultBuckets = 37 * 64;
+
+TEST(PercentileHistogramTest, EmptyHistogramOwnsNoBuckets) {
+  PercentileHistogram h;
+  EXPECT_EQ(h.num_buckets(), kDefaultBuckets);
+  EXPECT_FALSE(h.has_buckets());
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.mean(), 0.0);
+  EXPECT_EQ(h.min(), 0.0);
+  EXPECT_EQ(h.max(), 0.0);
+  for (const double q : {0.0, 50.0, 99.0, 100.0}) {
+    EXPECT_EQ(h.percentile(q), 0.0) << "q=" << q;
+  }
+  h.add(0.5);
+  EXPECT_TRUE(h.has_buckets());
+  EXPECT_EQ(h.num_buckets(), kDefaultBuckets);
+}
+
+TEST(PercentileHistogramTest, NonFiniteOnlyHistogramOwnsNoBuckets) {
+  PercentileHistogram h;
+  h.add(std::numeric_limits<double>::quiet_NaN());
+  h.add(std::numeric_limits<double>::infinity());
+  h.add(-std::numeric_limits<double>::infinity());
+  EXPECT_EQ(h.rejected(), 3u);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_FALSE(h.has_buckets());
+  EXPECT_EQ(h.percentile(99.0), 0.0);
+  // Folding a rejects-only histogram carries the count, not storage.
+  PercentileHistogram into;
+  into.merge(h);
+  EXPECT_EQ(into.rejected(), 3u);
+  EXPECT_FALSE(into.has_buckets());
+}
+
+TEST(PercentileHistogramTest, LazyMergesMatchDirectAdds) {
+  sim::Rng rng(23);
+  std::vector<double> values;
+  for (int i = 0; i < 2000; ++i) values.push_back(rng.exponential(0.02));
+
+  // Empty into empty: still no storage.
+  PercentileHistogram a;
+  PercentileHistogram b;
+  a.merge(b);
+  EXPECT_FALSE(a.has_buckets());
+  EXPECT_EQ(a.count(), 0u);
+
+  PercentileHistogram direct;
+  for (const double v : values) direct.add(v);
+
+  // Empty into full: unchanged.
+  PercentileHistogram full;
+  for (const double v : values) full.add(v);
+  full.merge(PercentileHistogram{});
+  // Full into empty: allocates and reproduces the direct adds exactly.
+  PercentileHistogram from_empty;
+  from_empty.merge(full);
+  EXPECT_TRUE(from_empty.has_buckets());
+
+  for (const PercentileHistogram* h : {&full, &from_empty}) {
+    EXPECT_EQ(h->count(), direct.count());
+    EXPECT_EQ(h->sum(), direct.sum());
+    EXPECT_EQ(h->min(), direct.min());
+    EXPECT_EQ(h->max(), direct.max());
+    EXPECT_EQ(h->num_buckets(), direct.num_buckets());
+    for (const double q : {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+      EXPECT_EQ(h->percentile(q), direct.percentile(q)) << "q=" << q;
+    }
+  }
+}
+
+TEST(PercentileHistogramTest, ResetBeforeFirstAddStaysLazy) {
+  PercentileHistogram h;
+  h.add(std::numeric_limits<double>::quiet_NaN());
+  h.reset();
+  EXPECT_FALSE(h.has_buckets());
+  EXPECT_EQ(h.rejected(), 0u);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.percentile(50.0), 0.0);
+  h.add(0.25);
+  h.add(0.75);
+  EXPECT_TRUE(h.has_buckets());
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.min(), 0.25);
+  EXPECT_EQ(h.max(), 0.75);
+  EXPECT_DOUBLE_EQ(h.percentile(100.0), 0.75);
+}
+
 TEST(PercentileHistogramTest, RejectsInvalidRange) {
   EXPECT_THROW(PercentileHistogram(0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(PercentileHistogram(-1.0, 1.0), std::invalid_argument);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -180,6 +181,115 @@ TEST(FleetParallelTest, MachineScopeSinkForcesSerialPath) {
                    .with_fleet_threads(8)
                    .make_cluster();
   EXPECT_EQ(fleet->fleet_lanes(), 1u);
+}
+
+// --- the fleet-wide arrival arena -------------------------------------------
+
+/// 3 racks x 4 nodes pushed past saturation, so queues build from the start
+/// and a removed node always holds queued requests to re-home.
+FleetSpec churn_fleet(std::size_t threads) {
+  workload::WebWorkload::Config web = ClusterConfig::open_loop_web();
+  web.demand_mean_s = 0.005;
+  return FleetSpec::racks(3)
+      .nodes_per_rack(4)
+      .with_machine(lean_machine())
+      .with_web(web)
+      .with_cooling(1.0, 0.6)
+      .with_crac(RackParams{})
+      .with_load(12 * 1100.0)
+      .with_telemetry(sim::from_ms(20))
+      .with_policy(PolicyKind::kCoolestNode)
+      .with_fleet_threads(threads);
+}
+
+TEST(FleetParallelTest, ChurnScriptIsBitIdenticalAndLeavesTheArenaEmpty) {
+  // Drain, remove with re-homing, warm join and undrain: every admin call
+  // flushes the arena, and only admin_remove refills it (with exactly the
+  // requests it re-homed) before the next run() replays them.
+  const auto churn = [](std::size_t threads) {
+    auto c = churn_fleet(threads).make_cluster();
+    EXPECT_EQ(c->deferred_arrivals(), 0u);
+    const auto run = [&c](sim::SimTime d) {
+      ClusterResult r = c->run(d);
+      EXPECT_EQ(c->deferred_arrivals(), 0u) << "after run() to " << c->now();
+      return r;
+    };
+    run(sim::from_ms(150));
+    c->admin_drain(2);
+    EXPECT_EQ(c->deferred_arrivals(), 0u);
+    run(sim::from_ms(100));
+    const std::uint64_t rehomed_before = c->tracer().counters().requests_rehomed;
+    c->admin_remove(5);
+    const std::uint64_t rehomed =
+        c->tracer().counters().requests_rehomed - rehomed_before;
+    EXPECT_GT(rehomed, 0u);
+    EXPECT_EQ(c->deferred_arrivals(), rehomed);
+    run(sim::from_ms(100));
+    NodeSpec joiner;
+    joiner.fan_speed_fraction = 0.8;
+    c->admin_join(joiner, sim::from_ms(100));
+    EXPECT_EQ(c->deferred_arrivals(), 0u);
+    run(sim::from_ms(100));
+    c->admin_undrain(2);
+    EXPECT_EQ(c->deferred_arrivals(), 0u);
+    c->admin_set_fan(7, 0.7);
+    EXPECT_EQ(c->deferred_arrivals(), 0u);
+    return run(sim::from_ms(150));
+  };
+  const ClusterResult serial = churn(1);
+  const ClusterResult parallel = churn(4);
+  EXPECT_GT(serial.counters.requests_rehomed, 0u);
+  EXPECT_EQ(serial.counters.node_joins, 1u);
+  EXPECT_EQ(serial.nodes.size(), 13u);
+  EXPECT_GT(serial.nodes[12].routed, 0u);
+  expect_bit_identical(serial, parallel);
+}
+
+TEST(FleetParallelTest, NodesReplayTheirArrivalsInRouteOrder) {
+  // With one worker per node, a node serves its requests strictly FIFO, so
+  // its completions (cluster trace, post-barrier) must be a prefix of the
+  // requests routed to it, in routing order. A chain that skipped, reordered
+  // or crossed into another node's arrivals breaks the prefix.
+  workload::WebWorkload::Config web = ClusterConfig::open_loop_web();
+  web.workers = 1;
+  web.demand_mean_s = 0.002;
+  auto sink = std::make_shared<obs::RingBufferSink>();
+  auto c = FleetSpec::racks(2)
+               .nodes_per_rack(3)
+               .with_machine(lean_machine())
+               .with_web(web)
+               .with_load(6 * 350.0)
+               .with_telemetry(sim::from_ms(20))
+               .with_policy(PolicyKind::kCoolestNode)
+               .with_fleet_threads(4)
+               .with_trace_sink([sink] { return sink; })
+               .make_cluster();
+  c->run(sim::from_ms(600));
+  ASSERT_EQ(sink->dropped(), 0u);
+
+  std::map<std::uint32_t, std::uint32_t> node_of;  // request id -> node
+  std::vector<std::vector<std::uint32_t>> routed(c->num_nodes());
+  std::vector<std::vector<std::uint32_t>> completed(c->num_nodes());
+  for (const obs::TraceEvent& e : sink->snapshot()) {
+    if (e.kind == obs::EventKind::kRequestRouted) {
+      node_of[e.tid] = e.core;
+      routed[e.core].push_back(e.tid);
+    } else if (e.kind == obs::EventKind::kRequestComplete) {
+      ASSERT_TRUE(node_of.count(e.tid)) << "completion before routing";
+      completed[node_of[e.tid]].push_back(e.tid);
+    }
+  }
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < c->num_nodes(); ++i) {
+    ASSERT_LE(completed[i].size(), routed[i].size()) << "node " << i;
+    EXPECT_GT(completed[i].size(), 50u) << "node " << i;
+    for (std::size_t k = 0; k < completed[i].size(); ++k) {
+      ASSERT_EQ(completed[i][k], routed[i][k])
+          << "node " << i << ", completion " << k;
+    }
+    total += completed[i].size();
+  }
+  EXPECT_GT(total, 1000u);
 }
 
 }  // namespace
