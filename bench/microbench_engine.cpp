@@ -160,46 +160,6 @@ void BM_DenseMatvecReference(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseMatvecReference)->Arg(8)->Arg(32)->Arg(128);
 
-// CSR kernels on a block-diagonal fill pattern (the cluster rack topology):
-// ~25% fill so the sparse walk does real index chasing.
-thermal::SparseMatrix block_sparse(std::size_t blocks, std::size_t per_block) {
-  const std::size_t n = blocks * per_block;
-  thermal::DenseMatrix m(n);
-  unsigned seed = 77u;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    for (std::size_t i = 0; i < per_block; ++i) {
-      for (std::size_t j = 0; j < per_block; ++j) {
-        seed = seed * 1664525u + 1013904223u;
-        m.at(b * per_block + i, b * per_block + j) =
-            static_cast<double>(seed % 100000) / 9973.0 - 5.0;
-      }
-    }
-  }
-  return thermal::SparseMatrix::from_dense(m);
-}
-
-void BM_CsrMatvec(benchmark::State& state) {
-  const std::size_t blocks = static_cast<std::size_t>(state.range(0));
-  const thermal::SparseMatrix s = block_sparse(blocks, 4);
-  const std::vector<double> x = filled_vector(blocks * 4);
-  std::vector<double> y;
-  for (auto _ : state) thermal::matvec(s, x, y);
-  benchmark::DoNotOptimize(y.data());
-  state.SetLabel("unrolled");
-}
-BENCHMARK(BM_CsrMatvec)->Arg(8)->Arg(64);
-
-void BM_CsrMatvecReference(benchmark::State& state) {
-  const std::size_t blocks = static_cast<std::size_t>(state.range(0));
-  const thermal::SparseMatrix s = block_sparse(blocks, 4);
-  const std::vector<double> x = filled_vector(blocks * 4);
-  std::vector<double> y;
-  for (auto _ : state) thermal::matvec_reference(s, x, y);
-  benchmark::DoNotOptimize(y.data());
-  state.SetLabel("reference");
-}
-BENCHMARK(BM_CsrMatvecReference)->Arg(8)->Arg(64);
-
 void BM_RcNetworkStep(benchmark::State& state) {
   thermal::RcNetwork net;
   thermal::FloorplanParams params;
@@ -225,44 +185,6 @@ void BM_RcNetworkFastForward(benchmark::State& state) {
   benchmark::DoNotOptimize(net.temperature(nodes.die[0]));
 }
 BENCHMARK(BM_RcNetworkFastForward)->Arg(20)->Arg(4000);
-
-// Block-diagonal topology in the style of the cluster layer: many free
-// "islands" (rack-air chains) coupled only through one fixed CRAC node, so
-// the free-free propagator is block diagonal and the CSR path skips the
-// cross-island zero blocks entirely.
-std::vector<thermal::NodeId> build_island_network(thermal::RcNetwork& net,
-                                                  std::size_t islands,
-                                                  std::size_t per_island) {
-  const thermal::NodeId crac = net.add_fixed_node("crac", 18.0);
-  std::vector<thermal::NodeId> heads;
-  heads.reserve(islands);
-  for (std::size_t i = 0; i < islands; ++i) {
-    thermal::NodeId prev =
-        net.add_node("island" + std::to_string(i) + ".0", 50.0, 25.0);
-    net.connect_r(prev, crac, 0.4);
-    heads.push_back(prev);
-    for (std::size_t j = 1; j < per_island; ++j) {
-      const thermal::NodeId n = net.add_node(
-          "island" + std::to_string(i) + "." + std::to_string(j), 30.0, 25.0);
-      net.connect_r(prev, n, 0.15);
-      prev = n;
-    }
-  }
-  return heads;
-}
-
-// The sparse-vs-dense propagator on the block-diagonal topology; Arg(0)
-// forces the dense reference, Arg(1) the CSR fast path.
-void BM_RcNetworkBlockDiagAdvance(benchmark::State& state) {
-  thermal::RcNetwork net;
-  const auto heads = build_island_network(net, 64, 4);
-  for (const auto n : heads) net.set_power(n, 35.0);
-  net.set_sparse_enabled(state.range(0) != 0);
-  for (auto _ : state) net.advance(0.00025, 4000);
-  state.SetLabel(state.range(0) != 0 ? "csr" : "dense");
-  benchmark::DoNotOptimize(net.temperature(heads[0]));
-}
-BENCHMARK(BM_RcNetworkBlockDiagAdvance)->Arg(0)->Arg(1);
 
 void BM_RcNetworkSteadyState(benchmark::State& state) {
   thermal::RcNetwork net;
@@ -436,50 +358,6 @@ EventQueueResult measure_event_queue() {
 }
 
 // ---------------------------------------------------------------------------
-// Acceptance cell: sparse propagator on the block-diagonal island topology.
-// Dense and CSR paths must produce bit-identical temperatures; the speedup is
-// recorded for the perf trajectory.
-// ---------------------------------------------------------------------------
-
-struct SparseResult {
-  std::size_t nodes = 0;
-  double dense_wall = 0.0;
-  double sparse_wall = 0.0;
-  double speedup = 0.0;
-  std::uint64_t sparse_matvecs = 0;
-  bool bit_identical = false;
-};
-
-SparseResult measure_sparse_advance() {
-  constexpr std::size_t kIslands = 64;
-  constexpr std::size_t kPerIsland = 4;
-  constexpr int kReps = 40;
-  const auto run = [&](bool sparse, thermal::RcNetwork& net) {
-    const auto heads = build_island_network(net, kIslands, kPerIsland);
-    for (const auto n : heads) net.set_power(n, 35.0);
-    net.set_sparse_enabled(sparse);
-    net.advance(0.00025, 4000);  // build the step operator and its lifted tables
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kReps; ++i) net.advance(0.00025, 4000);
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-  thermal::RcNetwork dense;
-  thermal::RcNetwork csr;
-  SparseResult r;
-  r.dense_wall = run(false, dense);
-  r.sparse_wall = run(true, csr);
-  r.speedup = r.sparse_wall > 0.0 ? r.dense_wall / r.sparse_wall : 0.0;
-  r.nodes = dense.node_count();
-  r.sparse_matvecs = csr.stats().sparse_matvecs;
-  r.bit_identical = true;
-  for (std::size_t n = 0; n < dense.node_count(); ++n) {
-    if (dense.temperature(n) != csr.temperature(n)) r.bit_identical = false;
-  }
-  return r;
-}
-
-// ---------------------------------------------------------------------------
 // Acceptance cell: warm-start sweep. Eight injection setpoints sharing one
 // 240 s unactuated cpuburn×4 warmup, measured cold (each point re-simulates
 // the warmup) and warm (one snapshot build, eight forks). The forked results
@@ -624,8 +502,6 @@ int write_engine_json() {
   const AdvanceResult web_fast = measure_machine_advance(
       AdvanceWorkload::kOpenLoopWeb, false, kWebSimSeconds);
   const double web_speedup = speedup_of(web_ref, web_fast);
-  std::fprintf(stderr, "measuring block-diagonal sparse advance...\n");
-  const SparseResult sparse = measure_sparse_advance();
   std::fprintf(stderr, "measuring warm-start sweep (8 points, 240 s shared "
                "warmup)...\n");
   const WarmStartResult warm = measure_warm_start();
@@ -637,7 +513,7 @@ int write_engine_json() {
   }
   std::fprintf(f,
                "{\n"
-               "  \"schema\": \"dimetrodon-bench-engine v4\",\n"
+               "  \"schema\": \"dimetrodon-bench-engine v5\",\n"
                "  \"machine_advance\": {\n"
                "    \"workload\": \"cpuburn x4\",\n"
                "    \"sim_seconds\": %.1f,\n",
@@ -666,19 +542,6 @@ int write_engine_json() {
                "  },\n",
                web_speedup, kWebEventBudget, TimerChurn::kTimers,
                queue.fired_per_sec, queue.cancel_share);
-  std::fprintf(f,
-               "  \"sparse\": {\n"
-               "    \"nodes\": %zu,\n"
-               "    \"dense_wall_seconds\": %.6f,\n"
-               "    \"sparse_wall_seconds\": %.6f,\n"
-               "    \"speedup\": %.3f,\n"
-               "    \"sparse_matvecs\": %llu,\n"
-               "    \"bit_identical\": %s\n"
-               "  },\n",
-               sparse.nodes, sparse.dense_wall, sparse.sparse_wall,
-               sparse.speedup,
-               static_cast<unsigned long long>(sparse.sparse_matvecs),
-               sparse.bit_identical ? "true" : "false");
   std::fprintf(f,
                "  \"warm_start\": {\n"
                "    \"points\": %d,\n"
@@ -711,12 +574,6 @@ int write_engine_json() {
                queue.fired_per_sec, TimerChurn::kTimers,
                100.0 * queue.cancel_share);
   std::fprintf(stderr,
-               "sparse advance: dense %.3fs, csr %.3fs (%.2fx, %llu sparse "
-               "matvecs, identical=%d)\n",
-               sparse.dense_wall, sparse.sparse_wall, sparse.speedup,
-               static_cast<unsigned long long>(sparse.sparse_matvecs),
-               sparse.bit_identical ? 1 : 0);
-  std::fprintf(stderr,
                "warm start: cold %.3fs, warm %.3fs (%.2fx, identical=%d)\n",
                warm.cold_wall, warm.warm_wall, warm.speedup,
                warm.bit_identical ? 1 : 0);
@@ -743,16 +600,6 @@ int write_engine_json() {
                  "BAR FAILED: open-loop web run made %llu factorizations "
                  "(budget: 1 per run)\n",
                  static_cast<unsigned long long>(web_fast.factorizations));
-    rc = 1;
-  }
-  if (!sparse.bit_identical) {
-    std::fprintf(stderr, "BAR FAILED: sparse path is not bit-identical\n");
-    rc = 1;
-  }
-  if (sparse.sparse_matvecs == 0) {
-    std::fprintf(stderr,
-                 "BAR FAILED: CSR path never engaged on the block-diagonal "
-                 "topology\n");
     rc = 1;
   }
   if (!warm.bit_identical) {

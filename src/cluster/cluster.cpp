@@ -610,15 +610,13 @@ ClusterResult Cluster::run(sim::SimTime duration) {
     if (node.driver) r.stability.merge_worst(node.driver->stability_metrics());
   }
   // Cluster-scope counters live only in the cluster's registry; fold in just
-  // these fields (its requests_completed would double-count the machines').
-  r.counters.requests_routed = tracer_.counters().requests_routed;
-  r.counters.node_drains = tracer_.counters().node_drains;
-  r.counters.fleet_samples = tracer_.counters().fleet_samples;
-  r.counters.requests_shed = tracer_.counters().requests_shed;
-  r.counters.requests_rehomed = tracer_.counters().requests_rehomed;
-  r.counters.node_joins = tracer_.counters().node_joins;
-  r.counters.node_removals = tracer_.counters().node_removals;
-  r.counters.scenario_directives = tracer_.counters().scenario_directives;
+  // those rows (its requests_completed would double-count the machines').
+  const obs::CounterRegistry& own = tracer_.counters();
+  for (const auto& f : obs::CounterTotals::fields()) {
+    if (f.scope == obs::CounterScope::kCluster) {
+      r.counters.*f.member += own.*f.member;
+    }
+  }
   // Non-finite latency samples the fleet histogram refused — nonzero means
   // the percentiles above silently exclude data, so it rides every report.
   r.counters.latency_rejects = latency_hist_.rejected();

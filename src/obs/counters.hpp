@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace dimetrodon::obs {
@@ -18,19 +17,25 @@ struct CoreCounters {
   std::uint64_t idle_ns = 0;           // total idle span (incl. transitions)
   std::uint64_t c1e_residency_ns = 0;  // settled time in the idle C-state
   std::uint64_t cstate_entries = 0;    // idle-path entries
+
+  bool operator==(const CoreCounters&) const = default;
+};
+
+/// The layer that increments a counter. Folds pick rows by scope: a machine
+/// registry sums its kCore rows over cores, and a cluster adds only its own
+/// registry's kCluster rows on top of its machines' totals.
+enum class CounterScope : std::uint8_t {
+  kCore,     // per logical core (CoreCounters), summed by the registry
+  kMachine,  // one machine's tracer or thermal network
+  kCluster,  // a cluster's load balancer, drain and scenario logic
+  kSweep,    // the sweep engine (warm-start cache, fault isolation)
 };
 
 /// Machine-wide counter totals: the flat, serializable summary surfaced in
 /// harness::RunResult and merged into sweep metrics JSON. Fieldwise
-/// subtraction yields window deltas.
-struct CounterTotals {
-  std::uint64_t dispatches = 0;
-  std::uint64_t context_switches = 0;
-  std::uint64_t injections = 0;
-  std::uint64_t injected_idle_ns = 0;
-  std::uint64_t idle_ns = 0;
-  std::uint64_t c1e_residency_ns = 0;
-  std::uint64_t cstate_entries = 0;
+/// subtraction yields window deltas. The per-core fields come from the
+/// CoreCounters base, summed over cores.
+struct CounterTotals : CoreCounters {
   std::uint64_t prochot_activations = 0;
   std::uint64_t dvfs_changes = 0;
   std::uint64_t meter_samples = 0;
@@ -63,8 +68,7 @@ struct CounterTotals {
   std::uint64_t thermal_substeps = 0;            // substeps integrated
   std::uint64_t thermal_fast_forward_steps = 0;  // covered by lifted matvecs
   std::uint64_t thermal_factorizations = 0;      // step-matrix LU factors
-  std::uint64_t thermal_matvecs = 0;             // matvec products, any kind
-  std::uint64_t thermal_sparse_matvecs = 0;      // of those, via the CSR path
+  std::uint64_t thermal_matvecs = 0;             // matvec products
   /// Always 0: each network holds one step operator, so there is nothing to
   /// evict. Kept so serialized totals and their readers keep the field.
   std::uint64_t thermal_evictions = 0;
@@ -90,9 +94,14 @@ struct CounterTotals {
   std::uint64_t duty_changes = 0;       // resolved duty-cycle changes
   std::uint64_t duty_reversals = 0;     // duty direction flips (flapping)
 
-  /// Stable (name, member) listing driving every serialization of the totals
-  /// (result cache, metrics JSON, CSV) so the field set cannot drift apart.
-  using Field = std::pair<const char*, std::uint64_t CounterTotals::*>;
+  /// Stable (name, member, scope) listing driving every serialization of the
+  /// totals (result cache, metrics JSON, CSV) and every fold, so the field
+  /// set cannot drift apart. A kCore row's member lives in CoreCounters.
+  struct Field {
+    const char* name;
+    std::uint64_t CounterTotals::* member;
+    CounterScope scope;
+  };
   static const std::vector<Field>& fields();
 
   CounterTotals& operator+=(const CounterTotals& o);
@@ -104,9 +113,12 @@ struct CounterTotals {
   bool operator==(const CounterTotals&) const = default;
 };
 
-/// The machine's counter registry: per-core rows plus machine-global
-/// counters, owned by the tracer and readable at any time.
-class CounterRegistry {
+/// The machine's counter registry: per-core rows plus the machine-global
+/// counters, owned by the tracer and readable at any time. The globals are
+/// the CounterTotals base, incremented in place; its CoreCounters part stays
+/// unused, since per-core counts live in core(i). Read the machine's totals
+/// through totals(), never by slicing the base.
+class CounterRegistry : public CounterTotals {
  public:
   void resize(std::size_t num_cores) { per_core_.assign(num_cores, {}); }
 
@@ -114,35 +126,7 @@ class CounterRegistry {
   const CoreCounters& core(std::size_t i) const { return per_core_.at(i); }
   std::size_t num_cores() const { return per_core_.size(); }
 
-  std::uint64_t prochot_activations = 0;
-  std::uint64_t dvfs_changes = 0;
-  std::uint64_t meter_samples = 0;
-  std::uint64_t sensor_samples = 0;
-  std::uint64_t requests_completed = 0;
-  std::uint64_t requests_routed = 0;  // cluster scope
-  std::uint64_t node_drains = 0;      // cluster scope
-  std::uint64_t fleet_samples = 0;    // cluster scope
-  std::uint64_t scenario_directives = 0;  // scenario scope
-  std::uint64_t node_joins = 0;           // scenario scope
-  std::uint64_t node_removals = 0;        // scenario scope
-  std::uint64_t requests_shed = 0;        // cluster scope
-  std::uint64_t requests_rehomed = 0;     // scenario scope
-
-  // Closed-loop control (src/control GovernorDriver).
-  std::uint64_t governor_samples = 0;
-  std::uint64_t governor_trips = 0;
-  std::uint64_t governor_releases = 0;
-  std::uint64_t duty_changes = 0;
-  std::uint64_t duty_reversals = 0;
-
-  // Thermal-engine counters; the machine writes the network's monotonic
-  // stats() snapshot here after every thermal advance.
-  std::uint64_t thermal_substeps = 0;
-  std::uint64_t thermal_fast_forward_steps = 0;
-  std::uint64_t thermal_factorizations = 0;
-  std::uint64_t thermal_matvecs = 0;
-  std::uint64_t thermal_sparse_matvecs = 0;
-
+  /// The registry's own fields plus each kCore row summed over cores.
   CounterTotals totals() const;
 
  private:

@@ -185,9 +185,9 @@ std::string ResultCache::serialize_record(const RunRecord& record) {
   put_line(out, "qos.p50_latency_s", qos.p50_latency_s);
   put_line(out, "qos.p95_latency_s", qos.p95_latency_s);
   put_line(out, "qos.p99_latency_s", qos.p99_latency_s);
-  for (const auto& [name, member] : obs::CounterTotals::fields()) {
-    put_line(out, (std::string("counter.") + name).c_str(),
-             r.counters.*member);
+  for (const auto& f : obs::CounterTotals::fields()) {
+    put_line(out, (std::string("counter.") + f.name).c_str(),
+             r.counters.*f.member);
   }
   const auto& w = record.window;
   put_line(out, "window.completion_seconds", w.completion_seconds);
@@ -246,9 +246,9 @@ std::optional<RunRecord> ResultCache::parse_record(const std::string& payload) {
     return std::nullopt;
   }
   if (has_qos) r.qos = qos;
-  for (const auto& [name, member] : obs::CounterTotals::fields()) {
-    if (!in.get_u64((std::string("counter.") + name).c_str(),
-                    r.counters.*member)) {
+  for (const auto& f : obs::CounterTotals::fields()) {
+    if (!in.get_u64((std::string("counter.") + f.name).c_str(),
+                    r.counters.*f.member)) {
       return std::nullopt;
     }
   }

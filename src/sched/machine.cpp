@@ -1,6 +1,8 @@
 #include "sched/machine.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "power/clock_modulation.hpp"
 #include <cassert>
@@ -57,14 +59,26 @@ Machine::Machine(MachineConfig config)
 
   if (config_.start_at_idle_equilibrium) {
     // Fixed-point iteration: leakage depends on die temperature which depends
-    // on leakage. Converges quickly because the loop gain is < 1.
+    // on leakage. Converges quickly because the loop gain is < 1. A pass that
+    // leaves every temperature bitwise unchanged is the exact fixed point:
+    // the next pass would set the same powers and solve to the same state.
+    const auto bits = [](double t) { return std::bit_cast<std::uint64_t>(t); };
+    std::vector<double> before(network_.node_count());
     for (int iter = 0; iter < 32; ++iter) {
+      for (thermal::NodeId n = 0; n < before.size(); ++n) {
+        before[n] = network_.temperature(n);
+      }
       for (std::size_t i = 0; i < config_.num_cores; ++i) {
         network_.set_power(nodes_.die[i], physical_core_power(i));
       }
       network_.set_power(nodes_.package,
                          power_model_.uncore_power(mean_c0_activity()));
       network_.solve_steady_state();
+      bool moved = false;
+      for (thermal::NodeId n = 0; n < before.size(); ++n) {
+        moved |= bits(before[n]) != bits(network_.temperature(n));
+      }
+      if (!moved) break;
     }
   }
 
@@ -191,7 +205,6 @@ void Machine::sync_thermal_counters() {
   c.thermal_fast_forward_steps = s.fast_forward_steps;
   c.thermal_factorizations = s.factorizations;
   c.thermal_matvecs = s.matvecs;
-  c.thermal_sparse_matvecs = s.sparse_matvecs;
 }
 
 void Machine::advance_thermal(sim::SimTime to) {

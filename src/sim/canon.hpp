@@ -19,7 +19,7 @@ namespace dimetrodon::sim {
 /// gained rack/CRAC, traffic-shape and telemetry-batching fields; the
 /// fleet_samples counter joined obs::CounterTotals::fields().
 ///
-/// v8: run specs gained the warm-start `warmup` field; thermal_sparse_matvecs,
+/// v8: run specs gained the warm-start `warmup` field; the CSR matvec count,
 /// thermal_evictions, snapshot_builds and snapshot_forks joined
 /// obs::CounterTotals::fields().
 ///
@@ -38,7 +38,10 @@ namespace dimetrodon::sim {
 /// (MachineConfig::thermal_watchdog and thermal_reference_stepper); both
 /// change modelled results, and specs differing only in one of them used to
 /// share a cache entry.
-inline constexpr int kCanonVersion = 11;
+///
+/// v12: the unused CSR propagator was deleted, and its matvec count left
+/// obs::CounterTotals::fields(); modelled results are unchanged.
+inline constexpr int kCanonVersion = 12;
 
 /// The one way canonical text is produced. Fields render as "key=value "
 /// with doubles in hex-float (%a) so the text is bit-exact, integers in hex,

@@ -25,22 +25,6 @@ inline double dot_row(const double* a, const double* xv, std::size_t n) {
   return acc;
 }
 
-/// CSR row kernel, same single-chain 4x unroll over the stored entries.
-inline double dot_row_csr(const double* vals, const std::uint32_t* cols,
-                          const double* xv, std::size_t begin,
-                          std::size_t end) {
-  double acc = 0.0;
-  std::size_t k = begin;
-  for (; k + 4 <= end; k += 4) {
-    acc += vals[k] * xv[cols[k]];
-    acc += vals[k + 1] * xv[cols[k + 1]];
-    acc += vals[k + 2] * xv[cols[k + 2]];
-    acc += vals[k + 3] * xv[cols[k + 3]];
-  }
-  for (; k < end; ++k) acc += vals[k] * xv[cols[k]];
-  return acc;
-}
-
 }  // namespace
 
 void matvec(const DenseMatrix& m, const std::vector<double>& x,
@@ -68,71 +52,6 @@ void matvec_reference(const DenseMatrix& m, const std::vector<double>& x,
   for (std::size_t r = 0; r < n; ++r) {
     double acc = 0.0;
     for (std::size_t c = 0; c < n; ++c) acc += m.at(r, c) * x[c];
-    y[r] = acc;
-  }
-}
-
-SparseMatrix SparseMatrix::from_dense(const DenseMatrix& m) {
-  SparseMatrix s;
-  const std::size_t n = m.size();
-  s.n_ = n;
-  s.row_ptr_.reserve(n + 1);
-  s.row_ptr_.push_back(0);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) {
-      const double v = m.at(r, c);
-      if (v != 0.0) {
-        s.cols_.push_back(static_cast<std::uint32_t>(c));
-        s.values_.push_back(v);
-      }
-    }
-    s.row_ptr_.push_back(s.values_.size());
-  }
-  return s;
-}
-
-void matvec(const SparseMatrix& m, const std::vector<double>& x,
-            std::vector<double>& y) {
-  const std::size_t n = m.size();
-  assert(x.size() == n);
-  y.resize(n);
-  const std::size_t* rp = m.row_ptr().data();
-  const std::uint32_t* cols = m.cols().data();
-  const double* vals = m.values().data();
-  const double* xv = x.data();
-  for (std::size_t r = 0; r < n; ++r) {
-    // Single accumulator in stored (column) order: the exact operation
-    // sequence of the dense matvec minus its zero terms — bitwise parity.
-    y[r] = dot_row_csr(vals, cols, xv, rp[r], rp[r + 1]);
-  }
-}
-
-void matvec_accumulate(const SparseMatrix& m, const std::vector<double>& x,
-                       std::vector<double>& y) {
-  const std::size_t n = m.size();
-  assert(x.size() == n && y.size() == n);
-  const std::size_t* rp = m.row_ptr().data();
-  const std::uint32_t* cols = m.cols().data();
-  const double* vals = m.values().data();
-  const double* xv = x.data();
-  for (std::size_t r = 0; r < n; ++r) {
-    y[r] += dot_row_csr(vals, cols, xv, rp[r], rp[r + 1]);
-  }
-}
-
-void matvec_reference(const SparseMatrix& m, const std::vector<double>& x,
-                      std::vector<double>& y) {
-  const std::size_t n = m.size();
-  assert(x.size() == n);
-  y.resize(n);
-  const std::size_t* rp = m.row_ptr().data();
-  const std::uint32_t* cols = m.cols().data();
-  const double* vals = m.values().data();
-  const double* xv = x.data();
-  for (std::size_t r = 0; r < n; ++r) {
-    double acc = 0.0;
-    const std::size_t end = rp[r + 1];
-    for (std::size_t k = rp[r]; k < end; ++k) acc += vals[k] * xv[cols[k]];
     y[r] = acc;
   }
 }

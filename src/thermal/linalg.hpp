@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace dimetrodon::thermal {
@@ -54,65 +53,6 @@ void matvec_accumulate(const DenseMatrix& m, const std::vector<double>& x,
 /// the unrolled kernels match it bit-for-bit, and the microbench reports
 /// the unroll's speedup against it.
 void matvec_reference(const DenseMatrix& m, const std::vector<double>& x,
-                      std::vector<double>& y);
-
-/// Compressed-sparse-row view of a square matrix, built by dropping *exact*
-/// zeros from a DenseMatrix. Because only exact zeros are dropped and each
-/// row's entries stay in column order, the CSR matvec performs the identical
-/// sequence of fused `acc += v * x[c]` operations as the dense matvec over
-/// the same matrix — bitwise-identical results for finite inputs, not merely
-/// close. That is the property the thermal propagator relies on: switching
-/// dense -> sparse must not perturb a single ulp of any temperature.
-///
-/// The propagator powers A^(2^j) are block-dense: entries couple free nodes
-/// within one connected component (components are separated by fixed
-/// boundary nodes, e.g. per-rack air networks joined only through the fixed
-/// CRAC node) and are exact zeros across components — LU with partial
-/// pivoting, matmul, and matadd all preserve those structural zeros exactly.
-/// So fill ratio falls as 1/#components and the CSR walk skips whole blocks.
-///
-/// Layout is SIMD/prefetch-friendly: one contiguous value array and one
-/// contiguous column-index array, walked linearly per row.
-class SparseMatrix {
- public:
-  SparseMatrix() = default;
-
-  /// Build from a dense matrix, keeping entries with `v != 0.0` only.
-  static SparseMatrix from_dense(const DenseMatrix& m);
-
-  std::size_t size() const { return n_; }
-  std::size_t nonzeros() const { return values_.size(); }
-  /// nnz / n², in [0, 1]. 0 for an empty matrix.
-  double fill_ratio() const {
-    return n_ == 0 ? 0.0
-                   : static_cast<double>(values_.size()) /
-                         (static_cast<double>(n_) * static_cast<double>(n_));
-  }
-
-  const std::vector<std::size_t>& row_ptr() const { return row_ptr_; }
-  const std::vector<std::uint32_t>& cols() const { return cols_; }
-  const std::vector<double>& values() const { return values_; }
-
- private:
-  std::size_t n_ = 0;
-  std::vector<std::size_t> row_ptr_;    // n+1 entries
-  std::vector<std::uint32_t> cols_;     // column index per stored value
-  std::vector<double> values_;
-};
-
-/// y = M x (CSR). Bitwise-identical to the dense matvec over the matrix the
-/// CSR was built from. `y` is resized; must not alias `x`. Unrolled 4x on
-/// the same single-accumulator chain as the dense kernel (see matvec above
-/// for why that preserves every bit).
-void matvec(const SparseMatrix& m, const std::vector<double>& x,
-            std::vector<double>& y);
-
-/// y += M x (CSR; same contracts and parity guarantee).
-void matvec_accumulate(const SparseMatrix& m, const std::vector<double>& x,
-                       std::vector<double>& y);
-
-/// Naive CSR matvec — the parity oracle for the unrolled CSR kernel.
-void matvec_reference(const SparseMatrix& m, const std::vector<double>& x,
                       std::vector<double>& y);
 
 /// C = A B (A, B same size; C must not alias either operand).

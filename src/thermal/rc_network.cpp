@@ -168,32 +168,6 @@ void RcNetwork::ensure_levels(StepOperator& op, std::uint64_t substeps) {
     op.s_geo.push_back(matadd(sj, matmul(aj, sj)));
     op.a_pow.push_back(matmul(aj, aj));
   }
-  // CSR twins per level. matmul/matadd/LU preserve the block-diagonal
-  // structural zeros exactly (disconnected free components never mix), so
-  // the sparse rep is faithful; matvec order matches dense, so switching is
-  // bit-invisible. Levels already decided keep their decision.
-  while (op.level_sparse.size() < op.a_pow.size()) {
-    const std::size_t j = op.level_sparse.size();
-    bool use_sparse = false;
-    if (sparse_enabled_ && free_nodes_.size() >= kSparseMinNodes) {
-      SparseMatrix a_csr = SparseMatrix::from_dense(op.a_pow[j]);
-      SparseMatrix s_csr = SparseMatrix::from_dense(op.s_geo[j]);
-      // One fill test over both tables: either both go sparse or neither,
-      // keeping the per-level decision single-sourced.
-      const double fill =
-          std::max(a_csr.fill_ratio(), s_csr.fill_ratio());
-      if (fill <= kSparseMaxFill) {
-        use_sparse = true;
-        op.a_pow_csr.push_back(std::move(a_csr));
-        op.s_geo_csr.push_back(std::move(s_csr));
-      }
-    }
-    if (!use_sparse) {
-      op.a_pow_csr.emplace_back();
-      op.s_geo_csr.emplace_back();
-    }
-    op.level_sparse.push_back(use_sparse);
-  }
 }
 
 void RcNetwork::assemble_input(std::vector<double>& rhs) const {
@@ -261,14 +235,8 @@ void RcNetwork::advance(double dt_seconds, std::uint64_t substeps) {
   // T ← A^(2^j)·T + S_(2^j)·b. Order is fixed, so results are deterministic.
   for (std::size_t j = 0; substeps >> j; ++j) {
     if (((substeps >> j) & 1u) == 0) continue;
-    if (sparse_enabled_ && j < op.level_sparse.size() && op.level_sparse[j]) {
-      matvec(op.a_pow_csr[j], t, scratch_);
-      matvec_accumulate(op.s_geo_csr[j], b, scratch_);
-      stats_.sparse_matvecs += 2;
-    } else {
-      matvec(op.a_pow[j], t, scratch_);
-      matvec_accumulate(op.s_geo[j], b, scratch_);
-    }
+    matvec(op.a_pow[j], t, scratch_);
+    matvec_accumulate(op.s_geo[j], b, scratch_);
     t.swap(scratch_);
     stats_.matvecs += 2;
   }

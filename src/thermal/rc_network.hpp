@@ -104,17 +104,9 @@ class RcNetwork {
     std::uint64_t fast_forward_steps = 0;  // substeps covered by lifted matvecs
     std::uint64_t factorizations = 0;      // step-matrix LU factorizations
     std::uint64_t solves = 0;              // LU back-substitutions
-    std::uint64_t matvecs = 0;             // matrix-vector products, any kind
-    std::uint64_t sparse_matvecs = 0;      // of those, via the CSR path
+    std::uint64_t matvecs = 0;             // matrix-vector products
   };
   const Stats& stats() const { return stats_; }
-
-  /// Enable/disable the CSR fast path (default on). With sparsity disabled
-  /// every matvec goes through the dense reference; results are bitwise
-  /// identical either way (the CSR drops exact zeros only), so this knob
-  /// exists for benchmarking and parity tests, not correctness.
-  void set_sparse_enabled(bool enabled) { sparse_enabled_ = enabled; }
-  bool sparse_enabled() const { return sparse_enabled_; }
 
   /// Portable dynamic state: everything `advance`/`step` read or write that
   /// is not topology. Captured/restored by the machine snapshot layer; the
@@ -151,12 +143,6 @@ class RcNetwork {
     LuFactorization lu;                // M = C/dt + G over free nodes
     std::vector<DenseMatrix> a_pow;    // A^(2^j)
     std::vector<DenseMatrix> s_geo;    // I + A + … + A^(2^j - 1)
-    // CSR twins of the lifted tables, built per level when the fill ratio
-    // makes dense a loss (block-diagonal networks: rack air islands joined
-    // only through the fixed CRAC node). Empty entries mean "use dense".
-    std::vector<SparseMatrix> a_pow_csr;
-    std::vector<SparseMatrix> s_geo_csr;
-    std::vector<bool> level_sparse;    // per level: CSR twins populated?
   };
 
   /// Rebuild free_index_/free_nodes_ and drop the step operator if the
@@ -187,15 +173,6 @@ class RcNetwork {
   StepOperator op_;  // dt < 0 until the first step/advance
   std::uint64_t topology_revision_ = 0;  // bumped by add_node/connect
   std::uint64_t built_revision_ = ~std::uint64_t{0};
-
-  // CSR fast-path policy: build sparse twins of a lifted level when the
-  // network is big enough for the bookkeeping to pay (>= kSparseMinNodes
-  // free nodes) and the level's fill ratio is at or below kSparseMaxFill.
-  // On a fully connected (single-component) network the propagator is dense
-  // and the CSR path never engages.
-  static constexpr std::size_t kSparseMinNodes = 8;
-  static constexpr double kSparseMaxFill = 0.5;
-  bool sparse_enabled_ = true;
 
   Stats stats_;
   // Solve/advance scratch, reused so a step or advance never allocates.

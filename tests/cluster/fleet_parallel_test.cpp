@@ -134,6 +134,9 @@ TEST(FleetParallelTest, CountersNeverDoubleCountUnderParallelAdvancement) {
   // increment away) breaks these identities.
   EXPECT_EQ(r.counters.requests_routed, r.offered);
   EXPECT_EQ(r.qos.total, r.completed);
+  // The cluster tracer also counts completions; the fold must leave the
+  // machines' count alone.
+  EXPECT_EQ(r.counters.requests_completed, r.completed);
   const auto sum = [&](auto field) {
     return std::accumulate(r.nodes.begin(), r.nodes.end(), std::uint64_t{0},
                            [&](std::uint64_t acc, const NodeStats& n) {

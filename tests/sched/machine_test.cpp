@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "workload/cpuburn.hpp"
 
@@ -59,6 +60,25 @@ TEST(MachineTest, StartsAtIdleEquilibrium) {
   EXPECT_GE(die, pkg);
   EXPECT_GT(pkg, hs);
   EXPECT_GT(hs, m.config().floorplan.ambient_c);
+}
+
+TEST(MachineTest, IdleEquilibriumStopsAtItsBitwiseFixedPoint) {
+  // The construction loop stops at the first pass that leaves every node
+  // temperature unchanged; running all 32 passes gives these same bits.
+  const Machine m{MachineConfig{}};
+  const std::vector<double> want = {0x1.fda72c06b9f5dp+4, 0x1.fda72c06b9f5dp+4,
+                                    0x1.fda72c06b9f5dp+4, 0x1.fda72c06b9f5cp+4};
+  ASSERT_EQ(m.num_physical_cores(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(m.die_temperature(static_cast<CoreId>(i)), want[i]) << i;
+  }
+  // The powers left on the network are the ones the fixed point implies:
+  // one more steady-state solve moves no node.
+  thermal::RcNetwork again = m.thermal_network();
+  again.solve_steady_state();
+  for (thermal::NodeId n = 0; n < again.node_count(); ++n) {
+    EXPECT_EQ(again.temperature(n), m.thermal_network().temperature(n)) << n;
+  }
 }
 
 TEST(MachineTest, IdleEquilibriumIsStationary) {

@@ -107,61 +107,6 @@ TEST(LinalgTest, RandomSpdSystemResidual) {
   }
 }
 
-// Block-diagonal matrix with awkward values (denormals would be overkill;
-// irrational-ish doubles catch reassociation): 3 blocks of 3.
-DenseMatrix block_diag_matrix() {
-  DenseMatrix m(9);
-  unsigned state = 99;
-  auto next = [&state]() {
-    state = state * 1664525u + 1013904223u;
-    return static_cast<double>(state % 100000) / 9973.0 - 5.0;
-  };
-  for (std::size_t b = 0; b < 3; ++b) {
-    for (std::size_t i = 0; i < 3; ++i) {
-      for (std::size_t j = 0; j < 3; ++j) {
-        m.at(3 * b + i, 3 * b + j) = next();
-      }
-    }
-  }
-  return m;
-}
-
-TEST(LinalgTest, SparseFromDenseKeepsExactlyTheNonzeros) {
-  const DenseMatrix m = block_diag_matrix();
-  const SparseMatrix s = SparseMatrix::from_dense(m);
-  EXPECT_EQ(s.size(), 9u);
-  EXPECT_EQ(s.nonzeros(), 27u);  // 3 dense 3x3 blocks
-  EXPECT_NEAR(s.fill_ratio(), 27.0 / 81.0, 1e-15);
-  // Round-trip every stored entry against the dense source.
-  for (std::size_t r = 0; r < 9; ++r) {
-    for (std::size_t k = s.row_ptr()[r]; k < s.row_ptr()[r + 1]; ++k) {
-      EXPECT_EQ(s.values()[k], m.at(r, s.cols()[k]));
-    }
-  }
-}
-
-TEST(LinalgTest, SparseMatvecBitIdenticalToDense) {
-  // The load-bearing parity property: CSR built by dropping exact zeros
-  // performs the same fused acc += v * x[c] sequence as the dense walk, so
-  // results match BITWISE, not just to tolerance.
-  const DenseMatrix m = block_diag_matrix();
-  const SparseMatrix s = SparseMatrix::from_dense(m);
-  std::vector<double> x(9);
-  for (std::size_t i = 0; i < 9; ++i) {
-    x[i] = 0.1 * static_cast<double>(i) + 1.0 / 3.0;
-  }
-  std::vector<double> yd, ys;
-  matvec(m, x, yd);
-  matvec(s, x, ys);
-  ASSERT_EQ(yd.size(), ys.size());
-  for (std::size_t i = 0; i < 9; ++i) EXPECT_EQ(yd[i], ys[i]) << i;
-  // Accumulating form too (the propagator's inner loop).
-  std::vector<double> ad(9, 0.25), as(9, 0.25);
-  matvec_accumulate(m, x, ad);
-  matvec_accumulate(s, x, as);
-  for (std::size_t i = 0; i < 9; ++i) EXPECT_EQ(ad[i], as[i]) << i;
-}
-
 TEST(LinalgTest, UnrolledMatvecBitIdenticalToReference) {
   // The unrolled kernels keep the reference's single accumulator and term
   // order, so they must match it BITWISE — at sizes that exercise the full
@@ -194,36 +139,6 @@ TEST(LinalgTest, UnrolledMatvecBitIdenticalToReference) {
     for (std::size_t i = 0; i < n; ++i) ar[i] += tmp[i];
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(af[i], ar[i]) << i;
   }
-}
-
-TEST(LinalgTest, UnrolledCsrMatvecBitIdenticalToReference) {
-  // Same parity demand on the CSR kernel, with rows of varying occupancy so
-  // per-row unroll counts differ (block structure leaves 6 zeros per row).
-  const DenseMatrix m = block_diag_matrix();
-  const SparseMatrix s = SparseMatrix::from_dense(m);
-  std::vector<double> x(9);
-  for (std::size_t i = 0; i < 9; ++i) {
-    x[i] = 0.7 * static_cast<double>(i) - 1.0 / 7.0;
-  }
-  std::vector<double> fast, ref;
-  matvec(s, x, fast);
-  matvec_reference(s, x, ref);
-  for (std::size_t i = 0; i < 9; ++i) EXPECT_EQ(fast[i], ref[i]) << i;
-}
-
-TEST(LinalgTest, SparseIdentityAndEmptyEdgeCases) {
-  const SparseMatrix id = SparseMatrix::from_dense(DenseMatrix::identity(4));
-  EXPECT_EQ(id.nonzeros(), 4u);
-  std::vector<double> x = {1.5, -2.25, 0.0, 7.0};
-  std::vector<double> y;
-  matvec(id, x, y);
-  EXPECT_EQ(y, x);
-  const SparseMatrix zero = SparseMatrix::from_dense(DenseMatrix(3));
-  EXPECT_EQ(zero.nonzeros(), 0u);
-  EXPECT_EQ(zero.fill_ratio(), 0.0);
-  std::vector<double> z;
-  matvec(zero, std::vector<double>(3, 9.0), z);
-  EXPECT_EQ(z, std::vector<double>(3, 0.0));
 }
 
 }  // namespace
