@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/controller.hpp"
@@ -25,7 +26,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "thermal/floorplan.hpp"
-#include "thermal/linalg.hpp"
 #include "thermal/rc_network.hpp"
 #include "workload/cpuburn.hpp"
 #include "workload/web.hpp"
@@ -114,52 +114,6 @@ void BM_RngUniform(benchmark::State& state) {
 }
 BENCHMARK(BM_RngUniform);
 
-// The matvec kernels behind every lifted fast-forward application. Arg is
-// the matrix size; the unrolled kernel must beat (or at worst match) the
-// naive reference while staying bitwise-identical — the parity half lives in
-// tests/thermal/linalg_test.cpp, the speed half is tracked here.
-thermal::DenseMatrix filled_matrix(std::size_t n) {
-  thermal::DenseMatrix m(n);
-  unsigned seed = 1234u + static_cast<unsigned>(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) {
-      seed = seed * 1664525u + 1013904223u;
-      m.at(r, c) = static_cast<double>(seed % 100000) / 9973.0 - 5.0;
-    }
-  }
-  return m;
-}
-
-std::vector<double> filled_vector(std::size_t n) {
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = 0.37 * static_cast<double>(i) - 3.0;
-  }
-  return x;
-}
-
-void BM_DenseMatvec(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const thermal::DenseMatrix m = filled_matrix(n);
-  const std::vector<double> x = filled_vector(n);
-  std::vector<double> y;
-  for (auto _ : state) thermal::matvec(m, x, y);
-  benchmark::DoNotOptimize(y.data());
-  state.SetLabel("unrolled");
-}
-BENCHMARK(BM_DenseMatvec)->Arg(8)->Arg(32)->Arg(128);
-
-void BM_DenseMatvecReference(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const thermal::DenseMatrix m = filled_matrix(n);
-  const std::vector<double> x = filled_vector(n);
-  std::vector<double> y;
-  for (auto _ : state) thermal::matvec_reference(m, x, y);
-  benchmark::DoNotOptimize(y.data());
-  state.SetLabel("reference");
-}
-BENCHMARK(BM_DenseMatvecReference)->Arg(8)->Arg(32)->Arg(128);
-
 void BM_RcNetworkStep(benchmark::State& state) {
   thermal::RcNetwork net;
   thermal::FloorplanParams params;
@@ -208,7 +162,7 @@ void BM_MachineSimulatedSecond(benchmark::State& state) {
 BENCHMARK(BM_MachineSimulatedSecond)->Arg(0)->Arg(1);
 
 // Pre-fast-forward baseline: the 250 µs self-rescheduling substep event and
-// one sequential LU solve per substep.
+// one propagator step per substep, with leakage refreshed at each.
 void BM_MachineSecondReferenceStepper(benchmark::State& state) {
   sched::MachineConfig cfg;
   cfg.enable_meter = false;
@@ -289,6 +243,8 @@ struct AdvanceResult {
   std::uint64_t fast_forward_steps = 0;
   std::uint64_t matvecs = 0;
   std::uint64_t factorizations = 0;
+  std::uint64_t solves = 0;
+  std::uint64_t free_nodes = 0;
   double factorizations_per_sim_second = 0.0;
   std::uint64_t events_executed = 0;
   double events_per_sim_second = 0.0;
@@ -328,6 +284,11 @@ AdvanceResult measure_machine_advance(AdvanceWorkload kind, bool reference,
   r.fast_forward_steps = t.thermal_fast_forward_steps;
   r.matvecs = t.thermal_matvecs;
   r.factorizations = t.thermal_factorizations;
+  r.solves = t.thermal_solves;
+  const thermal::RcNetwork& net = machine.thermal_network();
+  for (thermal::NodeId n = 0; n < net.node_count(); ++n) {
+    r.free_nodes += net.is_fixed(n) ? 0 : 1;
+  }
   r.factorizations_per_sim_second =
       static_cast<double>(r.factorizations) / sim_seconds;
   r.events_executed = machine.simulator().events_executed();
@@ -452,6 +413,8 @@ void put_advance(std::FILE* f, const char* key, const AdvanceResult& r,
       "      \"matvecs\": %llu,\n"
       "      \"factorizations\": %llu,\n"
       "      \"factorizations_per_sim_second\": %.4f,\n"
+      "      \"solves\": %llu,\n"
+      "      \"free_nodes\": %llu,\n"
       "      \"events_executed\": %llu,\n"
       "      \"events_per_sim_second\": %.1f\n"
       "    }%s\n",
@@ -461,6 +424,8 @@ void put_advance(std::FILE* f, const char* key, const AdvanceResult& r,
       static_cast<unsigned long long>(r.matvecs),
       static_cast<unsigned long long>(r.factorizations),
       r.factorizations_per_sim_second,
+      static_cast<unsigned long long>(r.solves),
+      static_cast<unsigned long long>(r.free_nodes),
       static_cast<unsigned long long>(r.events_executed),
       r.events_per_sim_second, trailing);
 }
@@ -513,7 +478,7 @@ int write_engine_json() {
   }
   std::fprintf(f,
                "{\n"
-               "  \"schema\": \"dimetrodon-bench-engine v5\",\n"
+               "  \"schema\": \"dimetrodon-bench-engine v6\",\n"
                "  \"machine_advance\": {\n"
                "    \"workload\": \"cpuburn x4\",\n"
                "    \"sim_seconds\": %.1f,\n",
@@ -590,6 +555,20 @@ int write_engine_json() {
                    "BAR FAILED: %s ran %.1f events per simulated second "
                    "(budget: %.1f)\n",
                    cell, r.events_per_sim_second, budget);
+      rc = 1;
+    }
+  }
+  for (const auto& [cell, r] : {std::pair{"machine advance", fast},
+                                 std::pair{"open-loop web", web_fast}}) {
+    if (r.solves > r.free_nodes * r.factorizations) {
+      // The step operator's unit solves are the only solves there are: a
+      // solve per substep would show up here.
+      std::fprintf(stderr,
+                   "BAR FAILED: %s ran %llu thermal solves (budget: %llu "
+                   "free nodes x %llu factorizations)\n",
+                   cell, static_cast<unsigned long long>(r.solves),
+                   static_cast<unsigned long long>(r.free_nodes),
+                   static_cast<unsigned long long>(r.factorizations));
       rc = 1;
     }
   }

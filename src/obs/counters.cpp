@@ -24,6 +24,7 @@ const std::vector<CounterTotals::Field>& CounterTotals::fields() {
        kMachine},
       {"thermal_factorizations", &CounterTotals::thermal_factorizations,
        kMachine},
+      {"thermal_solves", &CounterTotals::thermal_solves, kMachine},
       {"thermal_matvecs", &CounterTotals::thermal_matvecs, kMachine},
       {"thermal_evictions", &CounterTotals::thermal_evictions, kMachine},
       {"snapshot_builds", &CounterTotals::snapshot_builds, kSweep},

@@ -68,7 +68,10 @@ struct CounterTotals : CoreCounters {
   std::uint64_t thermal_substeps = 0;            // substeps integrated
   std::uint64_t thermal_fast_forward_steps = 0;  // covered by lifted matvecs
   std::uint64_t thermal_factorizations = 0;      // step-matrix LU factors
-  std::uint64_t thermal_matvecs = 0;             // matvec products
+  /// Unit solves building each operator's first table: free nodes per
+  /// factorization, and none per substep.
+  std::uint64_t thermal_solves = 0;
+  std::uint64_t thermal_matvecs = 0;             // 2 per table application
   /// Always 0: each network holds one step operator, so there is nothing to
   /// evict. Kept so serialized totals and their readers keep the field.
   std::uint64_t thermal_evictions = 0;

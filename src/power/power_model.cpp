@@ -33,17 +33,20 @@ double CpuPowerModel::core_dynamic_power(const CoreOperatingPoint& op) const {
          (v / v0) * (f / f0);
 }
 
-double CpuPowerModel::core_leakage_power(const CoreOperatingPoint& op,
-                                         double die_temp_c) const {
-  const double v = effective_voltage(op);
-  const double v0 = params_.nominal_voltage_v;
-  const double t0 = params_.leakage_ref_temp_c;
+double CpuPowerModel::leakage_temp_factor(double die_temp_c) const {
   // Soft saturation: exponential near T0, flattening far above it so the
   // leakage feedback loop is physically bounded (see PowerModelParams).
   const double tsat = params_.leakage_saturation_c;
-  const double dt = tsat * std::tanh((die_temp_c - t0) / tsat);
-  return params_.core_leakage_nominal_w * (v / v0) * (v / v0) *
-         std::exp(params_.leakage_temp_coeff * dt);
+  const double dt =
+      tsat * std::tanh((die_temp_c - params_.leakage_ref_temp_c) / tsat);
+  return std::exp(params_.leakage_temp_coeff * dt);
+}
+
+double CpuPowerModel::core_leakage_power_with_factor(
+    const CoreOperatingPoint& op, double temp_factor) const {
+  const double v = effective_voltage(op);
+  const double v0 = params_.nominal_voltage_v;
+  return params_.core_leakage_nominal_w * (v / v0) * (v / v0) * temp_factor;
 }
 
 double CpuPowerModel::uncore_power(double mean_activity) const {

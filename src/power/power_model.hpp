@@ -60,7 +60,18 @@ class CpuPowerModel {
 
   /// Leakage power of one core at the given die temperature, watts.
   double core_leakage_power(const CoreOperatingPoint& op,
-                            double die_temp_c) const;
+                            double die_temp_c) const {
+    return core_leakage_power_with_factor(op, leakage_temp_factor(die_temp_c));
+  }
+
+  /// The temperature part of leakage, exp(k·Tsat·tanh((T − T0)/Tsat)): a
+  /// pure function of the die temperature, so callers may memoise it.
+  double leakage_temp_factor(double die_temp_c) const;
+
+  /// Leakage power given a precomputed leakage_temp_factor(); bit-identical
+  /// to core_leakage_power at that temperature.
+  double core_leakage_power_with_factor(const CoreOperatingPoint& op,
+                                        double temp_factor) const;
 
   /// Total power of one core, watts.
   double core_power(const CoreOperatingPoint& op, double die_temp_c) const {

@@ -27,8 +27,12 @@ Machine::Machine(MachineConfig config)
   config_.floorplan.num_cores = config_.num_cores;
   nodes_ = thermal::build_server_floorplan(network_, config_.floorplan);
   sensors_.reserve(config_.num_cores);
+  leakage_memo_.resize(config_.num_cores);
   for (std::size_t i = 0; i < config_.num_cores; ++i) {
     sensors_.emplace_back(network_, nodes_.die[i]);
+    const double t = network_.temperature(nodes_.die[i]);
+    leakage_memo_[i] = {std::bit_cast<std::uint64_t>(t),
+                        power_model_.leakage_temp_factor(t)};
   }
   const std::size_t logical_cpus =
       config_.num_cores * (config_.smt_enabled ? 2 : 1);
@@ -105,7 +109,18 @@ Machine::Machine(MachineConfig config)
 // Physics
 // --------------------------------------------------------------------------
 
-double Machine::physical_core_power(std::size_t phys) const {
+double Machine::leakage_factor(std::size_t phys) {
+  const double t = network_.temperature(nodes_.die[phys]);
+  const auto bits = std::bit_cast<std::uint64_t>(t);
+  LeakageMemo& m = leakage_memo_[phys];
+  if (m.temp_bits != bits) {
+    m.temp_bits = bits;
+    m.factor = power_model_.leakage_temp_factor(t);
+  }
+  return m.factor;
+}
+
+double Machine::physical_core_power(std::size_t phys) {
   // Dynamic power sums over the hardware contexts sharing the die; leakage
   // is a property of the physical core and its supply voltage. The voltage
   // only drops to the C1E level once EVERY context is settled in the idle
@@ -133,8 +148,8 @@ double Machine::physical_core_power(std::size_t phys) const {
   leak_op.cstate = all_deep_idle ? power::CState::kC1E : power::CState::kC0;
   leak_op.in_transition = false;
   leak_op.voltage_v = voltage;
-  return dynamic + power_model_.core_leakage_power(
-                       leak_op, network_.temperature(nodes_.die[phys]));
+  return dynamic + power_model_.core_leakage_power_with_factor(
+                       leak_op, leakage_factor(phys));
 }
 
 Core* Machine::sibling(const Core& c) {
@@ -204,6 +219,7 @@ void Machine::sync_thermal_counters() {
   c.thermal_substeps = s.substeps;
   c.thermal_fast_forward_steps = s.fast_forward_steps;
   c.thermal_factorizations = s.factorizations;
+  c.thermal_solves = s.solves;
   c.thermal_matvecs = s.matvecs;
 }
 
@@ -212,7 +228,7 @@ void Machine::advance_thermal(sim::SimTime to) {
   if (config_.thermal_reference_stepper) {
     // Sequential reference: walk the grid one substep at a time, so power
     // and leakage refresh at every grid point and each grid point costs one
-    // LU solve.
+    // propagator step.
     while (last_thermal_update_ < to) {
       integrate_span(std::min(to, thermal_grid_ + config_.thermal_substep));
     }

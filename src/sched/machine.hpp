@@ -80,8 +80,9 @@ struct MachineConfig {
   /// (scheduler events, actuation, sensor/meter reads): a span that ends
   /// inside the open substep only carries its energy; a completed substep is
   /// charged with its time-weighted mean power, and the whole substeps after
-  /// it are fast-forwarded in O(log k) matvecs. Sensors, leakage and PROCHOT
-  /// therefore read the last grid state, at most one substep stale.
+  /// it are fast-forwarded in popcount(k) table applications. Sensors,
+  /// leakage and PROCHOT therefore read the last grid state, at most one
+  /// substep stale.
   sim::SimTime thermal_substep = sim::from_us(250);
 
   /// Upper bound on the span between thermal advances (a coarse self-
@@ -98,9 +99,10 @@ struct MachineConfig {
   /// Testing/benchmark mode: the sequential reference — a self-rescheduling
   /// `thermal_substep` event, and every span walked along the same grid one
   /// substep at a time (power and leakage refreshed at each grid point, one
-  /// LU solve per grid point, partial substeps carried exactly like the
-  /// lazy clock carries them). The parity suite and the before/after engine
-  /// benchmark run against this.
+  /// propagator step per grid point through the same kernel as the lazy
+  /// clock, partial substeps carried exactly like the lazy clock carries
+  /// them). The parity suite and the before/after engine benchmark run
+  /// against this.
   bool thermal_reference_stepper = false;
 
   /// Attach the sampled power meter (disable for large parameter sweeps).
@@ -313,7 +315,11 @@ class Machine {
   void finish_thread(Core& core, Thread& t);
 
   // Physics.
-  double physical_core_power(std::size_t phys) const;
+  double physical_core_power(std::size_t phys);
+  /// The leakage temperature factor at `phys`'s die temperature, memoised
+  /// on the temperature's bits, which change only when the network steps.
+  /// A pure cache: kept out of snapshots, and a miss recomputes exactly.
+  double leakage_factor(std::size_t phys);
   double execution_rate(const Core& c) const;
   Core* sibling(const Core& c);
   void sibling_checkpoint(Core& c);
@@ -344,7 +350,6 @@ class Machine {
                             sim::SimTime at);
   void thermal_monitor_tick();
   void apply_effective_duty(Core& c);
-  double core_power_now(const Core& c) const;
   double mean_c0_activity() const;
 
   MachineConfig config_;
@@ -356,6 +361,11 @@ class Machine {
   std::vector<thermal::CoreTempSensor> sensors_;
 
   power::CpuPowerModel power_model_;
+  struct LeakageMemo {
+    std::uint64_t temp_bits = 0;
+    double factor = 0.0;
+  };
+  std::vector<LeakageMemo> leakage_memo_;  // per physical core
   std::optional<power::PowerMeter> meter_;
   power::EnergyAccountant energy_;
 

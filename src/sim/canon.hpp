@@ -41,7 +41,12 @@ namespace dimetrodon::sim {
 ///
 /// v12: the unused CSR propagator was deleted, and its matvec count left
 /// obs::CounterTotals::fields(); modelled results are unchanged.
-inline constexpr int kCanonVersion = 12;
+///
+/// v13: the thermal step operator became solve-free — step() and advance()
+/// apply precomputed [A^(2^j) | S_(2^j)·M⁻¹] tables instead of an LU solve —
+/// so modelled temperatures move in their last bits (≤1e-9 °C); the
+/// thermal_solves counter joined obs::CounterTotals::fields().
+inline constexpr int kCanonVersion = 13;
 
 /// The one way canonical text is produced. Fields render as "key=value "
 /// with doubles in hex-float (%a) so the text is bit-exact, integers in hex,

@@ -5,81 +5,6 @@
 
 namespace dimetrodon::thermal {
 
-namespace {
-
-/// Shared row kernel: one accumulator, terms in column order, unrolled 4x.
-/// Each statement is the naive loop's body verbatim, so the emitted op
-/// sequence (fused or not) is term-for-term identical to the reference —
-/// the unroll exposes the four loads per iteration to the pipeline without
-/// introducing a second rounding order.
-inline double dot_row(const double* a, const double* xv, std::size_t n) {
-  double acc = 0.0;
-  std::size_t c = 0;
-  for (; c + 4 <= n; c += 4) {
-    acc += a[c] * xv[c];
-    acc += a[c + 1] * xv[c + 1];
-    acc += a[c + 2] * xv[c + 2];
-    acc += a[c + 3] * xv[c + 3];
-  }
-  for (; c < n; ++c) acc += a[c] * xv[c];
-  return acc;
-}
-
-}  // namespace
-
-void matvec(const DenseMatrix& m, const std::vector<double>& x,
-            std::vector<double>& y) {
-  const std::size_t n = m.size();
-  assert(x.size() == n);
-  y.resize(n);
-  const double* xv = x.data();
-  for (std::size_t r = 0; r < n; ++r) y[r] = dot_row(m.row(r), xv, n);
-}
-
-void matvec_accumulate(const DenseMatrix& m, const std::vector<double>& x,
-                       std::vector<double>& y) {
-  const std::size_t n = m.size();
-  assert(x.size() == n && y.size() == n);
-  const double* xv = x.data();
-  for (std::size_t r = 0; r < n; ++r) y[r] += dot_row(m.row(r), xv, n);
-}
-
-void matvec_reference(const DenseMatrix& m, const std::vector<double>& x,
-                      std::vector<double>& y) {
-  const std::size_t n = m.size();
-  assert(x.size() == n);
-  y.assign(n, 0.0);
-  for (std::size_t r = 0; r < n; ++r) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < n; ++c) acc += m.at(r, c) * x[c];
-    y[r] = acc;
-  }
-}
-
-DenseMatrix matmul(const DenseMatrix& a, const DenseMatrix& b) {
-  const std::size_t n = a.size();
-  assert(b.size() == n);
-  DenseMatrix c(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t k = 0; k < n; ++k) {
-      const double f = a.at(r, k);
-      if (f == 0.0) continue;
-      for (std::size_t j = 0; j < n; ++j) c.at(r, j) += f * b.at(k, j);
-    }
-  }
-  return c;
-}
-
-DenseMatrix matadd(const DenseMatrix& a, const DenseMatrix& b) {
-  const std::size_t n = a.size();
-  assert(b.size() == n);
-  DenseMatrix c(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t j = 0; j < n; ++j) c.at(r, j) = a.at(r, j) + b.at(r, j);
-  }
-  return c;
-}
-
 bool LuFactorization::factor(const DenseMatrix& m) {
   const std::size_t n = m.size();
   lu_ = m;

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace dimetrodon::thermal {
@@ -12,58 +14,64 @@ class DenseMatrix {
   DenseMatrix() = default;
   explicit DenseMatrix(std::size_t n) : n_(n), a_(n * n, 0.0) {}
 
-  /// The n×n identity.
-  static DenseMatrix identity(std::size_t n) {
-    DenseMatrix m(n);
-    for (std::size_t i = 0; i < n; ++i) m.at(i, i) = 1.0;
-    return m;
-  }
-
   std::size_t size() const { return n_; }
   double& at(std::size_t r, std::size_t c) { return a_[r * n_ + c]; }
   double at(std::size_t r, std::size_t c) const { return a_[r * n_ + c]; }
-  /// Contiguous row `r` (n elements, row-major) — the matvec kernels stream
-  /// rows directly instead of re-deriving the offset per element.
-  const double* row(std::size_t r) const { return a_.data() + r * n_; }
 
  private:
   std::size_t n_ = 0;
   std::vector<double> a_;
 };
 
-/// y = M x. `x` must have M.size() elements; `y` is resized. `y` must not
-/// alias `x`.
+/// The fused propagator kernel. `tables` holds lifted levels back to back:
+/// level j is the n × 2n table [A^(2^j) | W_j] at offset j·2n², stored
+/// column by column (element (r, c) at c·n + r) so each step of the sum
+/// streams one contiguous column. `x` is [T ; u] (2n doubles); for each set
+/// bit j of `k`, LSB first, T ← table_j · x, so on return x[0, n) holds T
+/// advanced k substeps and x[n, 2n) is untouched. `y` is n doubles of
+/// scratch, used only when N = 0.
 ///
-/// The kernel unrolls each row's dot product 4x while KEEPING the single
-/// accumulator and the term order — every `acc += a[c] * x[c]` of the naive
-/// loop executes in the same sequence on the same chain, so the result is
-/// bitwise-identical to matvec_reference under any -ffp-contract setting
-/// (contraction fuses each term's multiply-add the same way in both). The
-/// unroll buys straight-line instruction-level parallelism on the loads and
-/// amortized loop overhead, not a reassociated (and differently-rounded)
-/// reduction.
-void matvec(const DenseMatrix& m, const std::vector<double>& x,
-            std::vector<double>& y);
-
-/// y += M x (same contracts and parity guarantee as matvec).
-void matvec_accumulate(const DenseMatrix& m, const std::vector<double>& x,
-                       std::vector<double>& y);
-
-/// The textbook row-loop matvec, kept as the parity oracle: tests assert
-/// the unrolled kernels match it bit-for-bit, and the microbench reports
-/// the unroll's speedup against it.
-void matvec_reference(const DenseMatrix& m, const std::vector<double>& x,
-                      std::vector<double>& y);
-
-/// C = A B (A, B same size; C must not alias either operand).
-DenseMatrix matmul(const DenseMatrix& a, const DenseMatrix& b);
-
-/// C = A + B.
-DenseMatrix matadd(const DenseMatrix& a, const DenseMatrix& b);
+/// Each output row is one accumulator summed in column order, so every
+/// instantiation computes the same bits: N = 0 takes n at runtime; an even
+/// N > 0 fixes it at compile time and runs rows in pairs on two-lane
+/// vectors, each lane the same multiply-then-add chain as the scalar loop.
+template <std::size_t N = 0>
+inline void apply_lifted(const double* tables, std::uint64_t k, double* x,
+                         double* y, std::size_t n = N) {
+  static_assert(N % 2 == 0, "the fixed-size kernel pairs rows");
+  const std::size_t nf = N > 0 ? N : n;
+  for (std::size_t j = 0; k >> j; ++j) {
+    if (((k >> j) & 1u) == 0) continue;
+    const double* t = tables + j * 2 * nf * nf;
+    if constexpr (N > 0) {
+      using Pair = double __attribute__((vector_size(16)));
+      Pair acc[N / 2] = {};
+      for (std::size_t c = 0; c < 2 * N; ++c) {
+        const Pair xc = {x[c], x[c]};
+        for (std::size_t p = 0; p < N / 2; ++p) {
+          Pair col;
+          std::memcpy(&col, t + c * N + 2 * p, sizeof col);
+          acc[p] += col * xc;
+        }
+      }
+      for (std::size_t p = 0; p < N / 2; ++p) {
+        x[2 * p] = acc[p][0];
+        x[2 * p + 1] = acc[p][1];
+      }
+    } else {
+      for (std::size_t r = 0; r < nf; ++r) y[r] = 0.0;
+      for (std::size_t c = 0; c < 2 * nf; ++c) {
+        const double xc = x[c];
+        for (std::size_t r = 0; r < nf; ++r) y[r] += t[c * nf + r] * xc;
+      }
+      for (std::size_t r = 0; r < nf; ++r) x[r] = y[r];
+    }
+  }
+}
 
 /// LU factorization with partial pivoting. Factor once, solve many times —
-/// the implicit-Euler thermal stepper reuses one factorization for every
-/// substep at a fixed dt.
+/// the thermal network builds each step operator's tables from nf unit
+/// solves against one factorization, and reuses the steady-state one.
 class LuFactorization {
  public:
   /// Factor `m`. Returns false (and leaves the object unusable) if the matrix

@@ -9,6 +9,17 @@
 
 namespace dimetrodon::thermal {
 
+namespace {
+
+constexpr std::size_t kFixed = std::numeric_limits<std::size_t>::max();
+
+/// Free nodes of the default 4-core server floorplan (heatsink, package and
+/// four dies): the size the kernel is compiled for. Other networks, such as
+/// the rack-air model, take the runtime-size loop.
+constexpr std::size_t kFloorplanFreeNodes = 6;
+
+}  // namespace
+
 NodeId RcNetwork::add_node(std::string name, double capacitance_j_per_c,
                            double initial_temp_c) {
   if (capacitance_j_per_c <= 0.0) {
@@ -95,7 +106,7 @@ double RcNetwork::total_power() const {
 
 void RcNetwork::ensure_structure() {
   if (built_revision_ == topology_revision_) return;
-  free_index_.assign(nodes_.size(), std::numeric_limits<std::size_t>::max());
+  free_index_.assign(nodes_.size(), kFixed);
   free_nodes_.clear();
   for (NodeId n = 0; n < nodes_.size(); ++n) {
     if (!nodes_[n].fixed) {
@@ -103,173 +114,161 @@ void RcNetwork::ensure_structure() {
       free_nodes_.push_back(n);
     }
   }
+  boundary_.clear();
+  for (const Edge& e : edges_) {
+    const std::size_t ia = free_index_[e.a];
+    const std::size_t ib = free_index_[e.b];
+    if (ia != kFixed && ib == kFixed) boundary_.push_back({ia, e.b, e.g});
+    if (ib != kFixed && ia == kFixed) boundary_.push_back({ib, e.a, e.g});
+  }
   op_ = StepOperator{};
+  steady_lu_ = LuFactorization{};
   built_revision_ = topology_revision_;
+}
+
+DenseMatrix RcNetwork::system_matrix(double dt_seconds) const {
+  // Implicit Euler: (C/dt + G_free) T' = C/dt T + P + G_boundary T_fixed.
+  // Boundary coupling moves to the input term u.
+  const std::size_t nf = free_nodes_.size();
+  DenseMatrix m(nf);
+  for (std::size_t i = 0; i < nf; ++i) {
+    m.at(i, i) = nodes_[free_nodes_[i]].capacitance / dt_seconds;
+  }
+  for (const Edge& e : edges_) {
+    const std::size_t ia = free_index_[e.a];
+    const std::size_t ib = free_index_[e.b];
+    if (ia != kFixed) m.at(ia, ia) += e.g;
+    if (ib != kFixed) m.at(ib, ib) += e.g;
+    if (ia != kFixed && ib != kFixed) {
+      m.at(ia, ib) -= e.g;
+      m.at(ib, ia) -= e.g;
+    }
+  }
+  return m;
 }
 
 RcNetwork::StepOperator& RcNetwork::operator_for(double dt_seconds) {
   ensure_structure();
   if (op_.dt == dt_seconds) return op_;
 
-  const std::size_t nf = free_nodes_.size();
-  DenseMatrix a(nf);
-  // Implicit Euler: (C/dt + G_free) T' = C/dt T + P + G_boundary T_fixed.
-  // Here we assemble M = C/dt + G over free nodes; boundary coupling moves to
-  // the right-hand side at solve time.
-  for (std::size_t i = 0; i < nf; ++i) {
-    a.at(i, i) = nodes_[free_nodes_[i]].capacitance / dt_seconds;
-  }
-  for (const Edge& e : edges_) {
-    const std::size_t ia = free_index_[e.a];
-    const std::size_t ib = free_index_[e.b];
-    if (ia != std::numeric_limits<std::size_t>::max()) a.at(ia, ia) += e.g;
-    if (ib != std::numeric_limits<std::size_t>::max()) a.at(ib, ib) += e.g;
-    if (ia != std::numeric_limits<std::size_t>::max() &&
-        ib != std::numeric_limits<std::size_t>::max()) {
-      a.at(ia, ib) -= e.g;
-      a.at(ib, ia) -= e.g;
-    }
-  }
-
   // A new dt replaces the held operator and its lifted tables. dt is set
   // only after a successful factorization, so a singular matrix throws again
   // on the next call instead of handing out an unusable operator.
   op_ = StepOperator{};
-  if (!op_.lu.factor(a)) {
+  LuFactorization lu;
+  if (!lu.factor(system_matrix(dt_seconds))) {
     throw std::runtime_error("thermal step matrix is singular");
   }
-  op_.dt = dt_seconds;
   ++stats_.factorizations;
+
+  // Level 0 is [A | M⁻¹]: column i of M⁻¹ is one unit solve, and
+  // A = M⁻¹·diag(C/dt) scales it by C_i/dt. These nf solves are the only
+  // ones the operator ever runs.
+  const std::size_t nf = free_nodes_.size();
+  op_.tables.assign(2 * nf * nf, 0.0);
+  std::vector<double> col(nf);
+  for (std::size_t i = 0; i < nf; ++i) {
+    col.assign(nf, 0.0);
+    col[i] = 1.0;
+    lu.solve(col);
+    ++stats_.solves;
+    const double c_dt = nodes_[free_nodes_[i]].capacitance / dt_seconds;
+    double* a_col = op_.tables.data() + i * nf;
+    double* w_col = op_.tables.data() + (nf + i) * nf;
+    for (std::size_t r = 0; r < nf; ++r) {
+      a_col[r] = col[r] * c_dt;
+      w_col[r] = col[r];
+    }
+  }
+  op_.levels = 1;
+  op_.dt = dt_seconds;
   return op_;
 }
 
 void RcNetwork::ensure_levels(StepOperator& op, std::uint64_t substeps) {
   const std::size_t levels = std::bit_width(substeps);
-  if (op.a_pow.size() >= levels) return;
+  if (op.levels >= levels) return;
   const std::size_t nf = free_nodes_.size();
-  if (op.a_pow.empty()) {
-    // A = M⁻¹ · diag(C/dt): column i is (C_i/dt) · M⁻¹ e_i.
-    DenseMatrix a(nf);
-    std::vector<double> col(nf);
-    for (std::size_t i = 0; i < nf; ++i) {
-      col.assign(nf, 0.0);
-      col[i] = nodes_[free_nodes_[i]].capacitance / op.dt;
-      op.lu.solve(col);
-      ++stats_.solves;
-      for (std::size_t r = 0; r < nf; ++r) a.at(r, i) = col[r];
+  const std::size_t stride = 2 * nf * nf;
+  op.tables.reserve(levels * stride);  // exact: no growth slack per machine
+  op.tables.resize(levels * stride);
+  for (; op.levels < levels; ++op.levels) {
+    const double* cur = op.tables.data() + (op.levels - 1) * stride;
+    double* next = op.tables.data() + op.levels * stride;
+    // [A_(j+1) | W_(j+1)] = A_j·[A_j | W_j] + [0 | W_j]: squaring the power
+    // and S_(2^(j+1)) = S_(2^j) + A^(2^j)·S_(2^j), both right-multiplied by
+    // M⁻¹ already. Element (r, c) lives at c·nf + r.
+    for (std::size_t c = 0; c < 2 * nf; ++c) {
+      for (std::size_t r = 0; r < nf; ++r) {
+        double acc = 0.0;
+        for (std::size_t m = 0; m < nf; ++m) {
+          acc += cur[m * nf + r] * cur[c * nf + m];
+        }
+        next[c * nf + r] = c < nf ? acc : cur[c * nf + r] + acc;
+      }
     }
-    op.a_pow.push_back(std::move(a));
-    op.s_geo.push_back(DenseMatrix::identity(nf));
-  }
-  while (op.a_pow.size() < levels) {
-    const DenseMatrix& aj = op.a_pow.back();
-    const DenseMatrix& sj = op.s_geo.back();
-    // A^(2^(j+1)) = A^(2^j)·A^(2^j);  S_(2^(j+1)) = S_(2^j) + A^(2^j)·S_(2^j).
-    op.s_geo.push_back(matadd(sj, matmul(aj, sj)));
-    op.a_pow.push_back(matmul(aj, aj));
   }
 }
 
-void RcNetwork::assemble_input(std::vector<double>& rhs) const {
+void RcNetwork::assemble_input(double* u) const {
   const std::size_t nf = free_nodes_.size();
-  rhs.assign(nf, 0.0);
-  for (std::size_t i = 0; i < nf; ++i) rhs[i] = powers_[free_nodes_[i]];
-  for (const Edge& e : edges_) {
-    const std::size_t ia = free_index_[e.a];
-    const std::size_t ib = free_index_[e.b];
-    const bool a_free = ia != std::numeric_limits<std::size_t>::max();
-    const bool b_free = ib != std::numeric_limits<std::size_t>::max();
-    if (a_free && !b_free) rhs[ia] += e.g * temps_[e.b];
-    if (b_free && !a_free) rhs[ib] += e.g * temps_[e.a];
+  for (std::size_t i = 0; i < nf; ++i) u[i] = powers_[free_nodes_[i]];
+  for (const BoundaryTerm& b : boundary_) u[b.row] += b.g * temps_[b.fixed];
+}
+
+template <std::size_t N>
+void RcNetwork::run_kernel(const StepOperator& op, std::uint64_t substeps,
+                           double* x, double* y) {
+  const std::size_t nf = free_nodes_.size();
+  for (std::size_t i = 0; i < nf; ++i) x[i] = temps_[free_nodes_[i]];
+  assemble_input(x + nf);
+  apply_lifted<N>(op.tables.data(), substeps, x, y, nf);
+  for (std::size_t i = 0; i < nf; ++i) temps_[free_nodes_[i]] = x[i];
+}
+
+void RcNetwork::propagate(const StepOperator& op, std::uint64_t substeps) {
+  const std::size_t nf = free_nodes_.size();
+  if (nf == kFloorplanFreeNodes) {
+    double x[2 * kFloorplanFreeNodes];
+    run_kernel<kFloorplanFreeNodes>(op, substeps, x, nullptr);
+  } else {
+    x_.resize(2 * nf);
+    y_.resize(nf);
+    run_kernel<0>(op, substeps, x_.data(), y_.data());
   }
+  stats_.matvecs += 2 * static_cast<std::uint64_t>(std::popcount(substeps));
+  stats_.substeps += substeps;
 }
 
 void RcNetwork::step(double dt_seconds) {
   assert(dt_seconds > 0.0);
-  StepOperator& op = operator_for(dt_seconds);
-  const std::size_t nf = free_nodes_.size();
-  // Summation order matches the historical stepper exactly so this path is
-  // bit-identical to it (the parity tests pin fast vs sequential to it).
-  rhs_.assign(nf, 0.0);
-  for (std::size_t i = 0; i < nf; ++i) {
-    const NodeId n = free_nodes_[i];
-    rhs_[i] = nodes_[n].capacitance / dt_seconds * temps_[n] + powers_[n];
-  }
-  for (const Edge& e : edges_) {
-    const std::size_t ia = free_index_[e.a];
-    const std::size_t ib = free_index_[e.b];
-    const bool a_free = ia != std::numeric_limits<std::size_t>::max();
-    const bool b_free = ib != std::numeric_limits<std::size_t>::max();
-    if (a_free && !b_free) rhs_[ia] += e.g * temps_[e.b];
-    if (b_free && !a_free) rhs_[ib] += e.g * temps_[e.a];
-  }
-  op.lu.solve(rhs_);
-  ++stats_.solves;
-  ++stats_.substeps;
-  for (std::size_t i = 0; i < nf; ++i) temps_[free_nodes_[i]] = rhs_[i];
+  propagate(operator_for(dt_seconds), 1);
 }
 
 void RcNetwork::advance(double dt_seconds, std::uint64_t substeps) {
   assert(dt_seconds > 0.0);
   if (substeps == 0) return;
-  if (substeps == 1) {
-    // Same arithmetic as the sequential reference: bit-identical.
-    step(dt_seconds);
-    return;
-  }
   StepOperator& op = operator_for(dt_seconds);
   ensure_levels(op, substeps);
-  const std::size_t nf = free_nodes_.size();
-
-  // Constant input term b = M⁻¹ (P + G_b T_fixed).
-  std::vector<double>& b = rhs_;
-  assemble_input(b);
-  op.lu.solve(b);
-  ++stats_.solves;
-
-  std::vector<double>& t = state_;
-  t.resize(nf);
-  for (std::size_t i = 0; i < nf; ++i) t[i] = temps_[free_nodes_[i]];
-
-  // Apply set bits LSB→MSB; each level-j application advances 2^j substeps:
-  // T ← A^(2^j)·T + S_(2^j)·b. Order is fixed, so results are deterministic.
-  for (std::size_t j = 0; substeps >> j; ++j) {
-    if (((substeps >> j) & 1u) == 0) continue;
-    matvec(op.a_pow[j], t, scratch_);
-    matvec_accumulate(op.s_geo[j], b, scratch_);
-    t.swap(scratch_);
-    stats_.matvecs += 2;
-  }
-  stats_.substeps += substeps;
-  stats_.fast_forward_steps += substeps;
-  for (std::size_t i = 0; i < nf; ++i) temps_[free_nodes_[i]] = t[i];
+  propagate(op, substeps);
+  // A single substep is a plain step, as it always was for the counters.
+  if (substeps > 1) stats_.fast_forward_steps += substeps;
 }
 
 void RcNetwork::solve_steady_state() {
-  // Steady state is the dt -> infinity limit; assemble G alone.
+  // Steady state is the dt -> infinity limit: G T = u.
   ensure_structure();
-  const std::size_t nf = free_nodes_.size();
-  DenseMatrix g(nf);
-  assemble_input(rhs_);
-  for (const Edge& e : edges_) {
-    const std::size_t ia = free_index_[e.a];
-    const std::size_t ib = free_index_[e.b];
-    const bool a_free = ia != std::numeric_limits<std::size_t>::max();
-    const bool b_free = ib != std::numeric_limits<std::size_t>::max();
-    if (a_free) g.at(ia, ia) += e.g;
-    if (b_free) g.at(ib, ib) += e.g;
-    if (a_free && b_free) {
-      g.at(ia, ib) -= e.g;
-      g.at(ib, ia) -= e.g;
-    }
-  }
-  LuFactorization lu;
-  if (!lu.factor(g)) {
+  if (!steady_lu_.valid() &&
+      !steady_lu_.factor(
+          system_matrix(std::numeric_limits<double>::infinity()))) {
     throw std::runtime_error(
         "thermal network has a free node with no path to a fixed node");
   }
-  lu.solve(rhs_);
-  for (std::size_t i = 0; i < nf; ++i) temps_[free_nodes_[i]] = rhs_[i];
+  const std::size_t nf = free_nodes_.size();
+  x_.resize(nf);
+  assemble_input(x_.data());
+  steady_lu_.solve(x_);
+  for (std::size_t i = 0; i < nf; ++i) temps_[free_nodes_[i]] = x_[i];
 }
 
 }  // namespace dimetrodon::thermal

@@ -20,11 +20,13 @@ using NodeId = std::size_t;
 /// minute-scale heatsink dynamics integrate correctly with one step size.
 ///
 /// Because implicit Euler at a fixed dt is an *affine* map of the free-node
-/// temperature vector — T' = A·T + b with A = M⁻¹·(C/dt), b = M⁻¹·(P + G_b·
-/// T_fixed), M = C/dt + G — k substeps under a constant power vector have the
-/// closed form T_k = A^k·T + (I + A + … + A^(k-1))·b. `advance()` evaluates
-/// that with binary-lifted powers A^(2^j) and matching geometric sums, so a
-/// long fast-forward costs O(log k) small matvecs instead of k linear solves.
+/// temperature vector — T' = A·T + M⁻¹·u with A = M⁻¹·(C/dt), u = P + G_b·
+/// T_fixed, M = C/dt + G — k substeps under a constant power vector have the
+/// closed form T_k = A^k·T + S_k·M⁻¹·u, S_k = I + A + … + A^(k-1). The step
+/// operator stores one fused table [A^(2^j) | S_(2^j)·M⁻¹] per binary-lifted
+/// level j, so `step()` is one 6×12 matvec on the default floorplan and a
+/// fast-forward of k substeps is popcount(k) of them. No LU solve runs after
+/// the operator is built.
 class RcNetwork {
  public:
   /// Add a thermal mass. `capacitance` must be > 0.
@@ -76,22 +78,22 @@ class RcNetwork {
 
   /// Advance all free-node temperatures by `dt_seconds` with the current
   /// power vector held constant (implicit Euler). The network holds ONE step
-  /// operator: its LU factorization (and lifted tables) are reused while dt
-  /// stays bit-identical and rebuilt when dt or the topology changes. Callers
+  /// operator: its lifted tables are reused while dt stays bit-identical and
+  /// rebuilt (one LU factorization) when dt or the topology changes. Callers
   /// are expected to keep one dt — sched::Machine steps only on its
   /// thermal_substep grid — so a run costs one factorization, not one per
   /// distinct span length.
   void step(double dt_seconds);
 
   /// Advance `substeps` substeps of `dt_seconds` each, with the current power
-  /// vector held constant, via the closed-form propagator (O(log substeps)
-  /// matvecs). Physics-equivalent to calling `step(dt_seconds)` that many
-  /// times; a single substep routes through the exact step() arithmetic so
-  /// substeps <= 1 are bit-identical to the sequential reference.
+  /// vector held constant, via the closed-form propagator (popcount(substeps)
+  /// table applications). Runs the same kernel as step(), which is its
+  /// substeps == 1 case, so one substep is bit-identical to step().
   void advance(double dt_seconds, std::uint64_t substeps);
 
   /// Jump straight to the steady state for the current power vector.
   /// Requires every free node to have a conduction path to a fixed node.
+  /// The conductance matrix is factored once per topology.
   void solve_steady_state();
 
   /// Sum of injected power over all nodes (diagnostics / conservation tests).
@@ -103,8 +105,8 @@ class RcNetwork {
     std::uint64_t substeps = 0;            // substeps integrated, any path
     std::uint64_t fast_forward_steps = 0;  // substeps covered by lifted matvecs
     std::uint64_t factorizations = 0;      // step-matrix LU factorizations
-    std::uint64_t solves = 0;              // LU back-substitutions
-    std::uint64_t matvecs = 0;             // matrix-vector products
+    std::uint64_t solves = 0;              // unit solves building level 0
+    std::uint64_t matvecs = 0;             // 2 per table application
   };
   const Stats& stats() const { return stats_; }
 
@@ -135,30 +137,45 @@ class RcNetwork {
     double g;  // W/°C
   };
 
-  /// Everything derived from one (dt, topology) pair: the factored implicit-
-  /// Euler matrix M = C/dt + G, and — built lazily on the first multi-step
-  /// advance — the binary-lifted propagator tables.
+  /// Everything derived from one (dt, topology) pair: the binary-lifted
+  /// propagator tables, level j the nf × 2nf table [A^(2^j) | W_j] with
+  /// W_j = S_(2^j)·M⁻¹, in apply_lifted's column-by-column layout, stored
+  /// back to back. Level 0 ([A | M⁻¹]) is built with the operator; deeper
+  /// levels on demand.
   struct StepOperator {
     double dt = -1.0;
-    LuFactorization lu;                // M = C/dt + G over free nodes
-    std::vector<DenseMatrix> a_pow;    // A^(2^j)
-    std::vector<DenseMatrix> s_geo;    // I + A + … + A^(2^j - 1)
+    std::size_t levels = 0;
+    std::vector<double> tables;
   };
 
-  /// Rebuild free_index_/free_nodes_ and drop the step operator if the
-  /// topology changed since it was built.
+  /// Rebuild free_index_/free_nodes_/boundary_ and drop the step operator
+  /// and the steady-state factorization if the topology changed since they
+  /// were built.
   void ensure_structure();
 
+  /// M = C/dt + G over free nodes; dt = ∞ gives the conductance matrix G.
+  DenseMatrix system_matrix(double dt_seconds) const;
+
   /// The step operator for this dt: the held one when dt matches bit for
-  /// bit, else a fresh factorization replacing it (throws on a singular
-  /// matrix).
+  /// bit, else a fresh level 0 replacing it (throws on a singular matrix).
   StepOperator& operator_for(double dt_seconds);
 
   /// Grow op's lifted tables to cover a fast-forward of `substeps`.
   void ensure_levels(StepOperator& op, std::uint64_t substeps);
 
-  /// rhs = P + G_boundary·T_fixed over free nodes (the constant input term).
-  void assemble_input(std::vector<double>& rhs) const;
+  /// u = P + G_boundary·T_fixed over free nodes (the constant input term),
+  /// written to u[0, nf).
+  void assemble_input(double* u) const;
+
+  /// T ← T advanced `substeps` substeps through op's tables (levels must
+  /// cover `substeps`), counting the work. Picks the fixed-size kernel for
+  /// the default floorplan, else the runtime-n one.
+  void propagate(const StepOperator& op, std::uint64_t substeps);
+  /// One kernel run over x = [T ; u] (2·nf doubles); `y` is apply_lifted's
+  /// scratch, unused when N > 0.
+  template <std::size_t N>
+  void run_kernel(const StepOperator& op, std::uint64_t substeps, double* x,
+                  double* y);
 
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
@@ -169,16 +186,25 @@ class RcNetwork {
   // solves operate on.
   std::vector<std::size_t> free_index_;  // node -> dense row, SIZE_MAX if fixed
   std::vector<NodeId> free_nodes_;       // dense row -> node
+  // Edges between a free and a fixed node, in edge order: the G_b·T_fixed
+  // part of the input term.
+  struct BoundaryTerm {
+    std::size_t row;
+    NodeId fixed;
+    double g;
+  };
+  std::vector<BoundaryTerm> boundary_;
 
   StepOperator op_;  // dt < 0 until the first step/advance
+  LuFactorization steady_lu_;  // G, factored on the first steady solve
   std::uint64_t topology_revision_ = 0;  // bumped by add_node/connect
   std::uint64_t built_revision_ = ~std::uint64_t{0};
 
   Stats stats_;
-  // Solve/advance scratch, reused so a step or advance never allocates.
-  std::vector<double> rhs_;
-  std::vector<double> state_;
-  std::vector<double> scratch_;
+  // Kernel and steady-state scratch for networks off the fixed-size path,
+  // reused so a step or advance never allocates.
+  std::vector<double> x_;
+  std::vector<double> y_;
 };
 
 }  // namespace dimetrodon::thermal

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "sim/rng.hpp"
+
 namespace dimetrodon::power {
 namespace {
 
@@ -70,6 +72,31 @@ TEST(PowerModelTest, LeakageExponentialInTemperature) {
       p.leakage_saturation_c * std::tanh(10.0 / p.leakage_saturation_c);
   EXPECT_NEAR(hotter / at_ref, std::exp(p.leakage_temp_coeff * dt_eff),
               1e-9);
+}
+
+TEST(PowerModelTest, LeakageFactorFormIsBitIdentical) {
+  // The machine memoises leakage_temp_factor per core; leakage through the
+  // factor must equal the one-shot form, and both the documented
+  // L0·(V/V0)²·exp(k·(Tsat·tanh((T − T0)/Tsat))) in its product order,
+  // bitwise.
+  const CpuPowerModel model;
+  const auto& p = model.params();
+  sim::Rng rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    CoreOperatingPoint op;
+    op.cstate = static_cast<CState>(rng.uniform_int(0, 2));
+    op.in_transition = rng.uniform() < 0.3;
+    op.voltage_v = rng.uniform(0.8, 1.3);
+    const double t = rng.uniform(-20.0, 160.0);
+    const double leak = model.core_leakage_power(op, t);
+    EXPECT_EQ(leak, model.core_leakage_power_with_factor(
+                        op, model.leakage_temp_factor(t)));
+    const double v = model.effective_voltage(op) / p.nominal_voltage_v;
+    const double tsat = p.leakage_saturation_c;
+    const double dt_eff = tsat * std::tanh((t - p.leakage_ref_temp_c) / tsat);
+    EXPECT_EQ(leak, p.core_leakage_nominal_w * v * v *
+                        std::exp(p.leakage_temp_coeff * dt_eff));
+  }
 }
 
 TEST(PowerModelTest, LeakageSaturatesFarAboveReference) {

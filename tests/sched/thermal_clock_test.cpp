@@ -23,6 +23,13 @@ MachineConfig base_config() {
   return cfg;
 }
 
+std::uint64_t free_nodes(const Machine& m) {
+  const thermal::RcNetwork& net = m.thermal_network();
+  std::uint64_t n = 0;
+  for (thermal::NodeId i = 0; i < net.node_count(); ++i) n += !net.is_fixed(i);
+  return n;
+}
+
 std::vector<double> die_temps(const Machine& m) {
   std::vector<double> t;
   for (std::size_t i = 0; i < m.num_physical_cores(); ++i) {
@@ -103,6 +110,8 @@ TEST(ThermalClockTest, ThermalCountersFlowIntoTotals) {
   // with one dt: one factorization for the whole run, nothing to evict.
   EXPECT_EQ(t.thermal_factorizations, 1u);
   EXPECT_EQ(t.thermal_evictions, 0u);
+  // The only solves are the operator build's unit solves: none per substep.
+  EXPECT_EQ(t.thermal_solves, free_nodes(m) * t.thermal_factorizations);
   // Fast-forward replaces per-substep solves: far fewer matvecs than the
   // substeps they cover.
   EXPECT_LT(t.thermal_matvecs, t.thermal_fast_forward_steps);
@@ -111,6 +120,7 @@ TEST(ThermalClockTest, ThermalCountersFlowIntoTotals) {
 struct OpenLoopRun {
   std::vector<double> die;
   obs::CounterTotals totals;
+  std::uint64_t free_nodes = 0;
 };
 
 // Open-loop web serving as a cluster node sees it: Poisson arrivals at
@@ -135,7 +145,7 @@ OpenLoopRun run_open_loop_web(const MachineConfig& cfg) {
   }
   m.run_until(end);
   EXPECT_GT(web.completed_requests(), 1000u);
-  return {die_temps(m), m.counters().totals()};
+  return {die_temps(m), m.counters().totals(), free_nodes(m)};
 }
 
 TEST(ThermalClockTest, OpenLoopArrivalsFactorOnceAndTrackFineReference) {
@@ -143,6 +153,8 @@ TEST(ThermalClockTest, OpenLoopArrivalsFactorOnceAndTrackFineReference) {
   // Cost: the grid is the only dt, however irregular the spans.
   EXPECT_EQ(grid.totals.thermal_factorizations, 1u);
   EXPECT_EQ(grid.totals.thermal_evictions, 0u);
+  EXPECT_EQ(grid.totals.thermal_solves,
+            grid.free_nodes * grid.totals.thermal_factorizations);
   // Value: a sequential 10 µs reference (40x finer grid, leakage refreshed
   // at every grid point) stays within 0.05 °C of the 250 µs grid.
   MachineConfig fine = base_config();

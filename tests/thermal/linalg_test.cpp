@@ -107,39 +107,5 @@ TEST(LinalgTest, RandomSpdSystemResidual) {
   }
 }
 
-TEST(LinalgTest, UnrolledMatvecBitIdenticalToReference) {
-  // The unrolled kernels keep the reference's single accumulator and term
-  // order, so they must match it BITWISE — at sizes that exercise the full
-  // 4x body, the scalar tail alone, and every mix of the two.
-  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 16u, 33u}) {
-    SCOPED_TRACE(n);
-    DenseMatrix m(n);
-    unsigned state = 7u + static_cast<unsigned>(n);
-    auto next = [&state]() {
-      state = state * 1664525u + 1013904223u;
-      return static_cast<double>(state % 100000) / 9973.0 - 5.0;
-    };
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = 0; c < n; ++c) m.at(r, c) = next();
-    }
-    std::vector<double> x(n);
-    for (auto& v : x) v = next();
-
-    std::vector<double> fast, ref;
-    matvec(m, x, fast);
-    matvec_reference(m, x, ref);
-    ASSERT_EQ(fast.size(), ref.size());
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(fast[i], ref[i]) << i;
-
-    std::vector<double> af(n, 0.5), ar(n, 0.5);
-    matvec_accumulate(m, x, af);
-    // The reference accumulate is the naive loop applied on top of y.
-    std::vector<double> tmp;
-    matvec_reference(m, x, tmp);
-    for (std::size_t i = 0; i < n; ++i) ar[i] += tmp[i];
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(af[i], ar[i]) << i;
-  }
-}
-
 }  // namespace
 }  // namespace dimetrodon::thermal

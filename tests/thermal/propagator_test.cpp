@@ -1,6 +1,7 @@
-// Closed-form fast-forward propagator: RcNetwork::advance(dt, k) must be
-// physics-equivalent to k sequential step(dt) calls (the reference stepper),
-// deterministic, and must preserve the singular-matrix error path. Also
+// Closed-form fast-forward propagator: RcNetwork::step(dt) and
+// advance(dt, k) must stay within kParityTolC of a textbook LU stepper (the
+// oracle below), advance(dt, k) must match k sequential step(dt) calls, both
+// must be deterministic, and the singular-matrix error path must hold. Also
 // covers the single step operator: reused while dt keeps its bits, rebuilt
 // when dt or the topology changes; node-id range checks; and the save/restore
 // round trip of the dynamic state.
@@ -8,11 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
+#include "sim/rng.hpp"
 #include "thermal/floorplan.hpp"
+#include "thermal/linalg.hpp"
 
 namespace dimetrodon::thermal {
 namespace {
@@ -72,6 +77,208 @@ std::vector<NodeId> build_islands(RcNetwork& net, std::size_t islands,
     }
   }
   return heads;
+}
+
+/// The textbook implicit-Euler stepper: assemble M = C/dt + G over the free
+/// nodes, factor it once, and solve M·T' = C/dt·T + P + G_b·T_fixed once per
+/// substep. Free nodes are numbered in the order they are added, which is
+/// the order RcNetwork gives its free nodes; boundary edges fold into the
+/// right-hand side.
+class LuOracle {
+ public:
+  std::size_t add_node(double capacitance, double initial_temp) {
+    cap_.push_back(capacitance);
+    temp.push_back(initial_temp);
+    power.push_back(0.0);
+    return cap_.size() - 1;
+  }
+  void connect(std::size_t a, std::size_t b, double g) {
+    edges_.push_back({a, b, g});
+  }
+  void connect_fixed(std::size_t a, double g, double fixed_temp) {
+    boundary_.push_back({a, g, fixed_temp});
+  }
+  void factor(double dt) {
+    dt_ = dt;
+    const std::size_t n = cap_.size();
+    DenseMatrix m(n);
+    for (std::size_t i = 0; i < n; ++i) m.at(i, i) = cap_[i] / dt;
+    for (const Edge& e : edges_) {
+      m.at(e.a, e.a) += e.g;
+      m.at(e.b, e.b) += e.g;
+      m.at(e.a, e.b) -= e.g;
+      m.at(e.b, e.a) -= e.g;
+    }
+    for (const Boundary& b : boundary_) m.at(b.node, b.node) += b.g;
+    ASSERT_TRUE(lu_.factor(m));
+  }
+  void step() {
+    rhs_.resize(cap_.size());
+    for (std::size_t i = 0; i < cap_.size(); ++i) {
+      rhs_[i] = cap_[i] / dt_ * temp[i] + power[i];
+    }
+    for (const Boundary& b : boundary_) rhs_[b.node] += b.g * b.temp;
+    lu_.solve(rhs_);
+    temp = rhs_;
+  }
+
+  std::vector<double> temp;
+  std::vector<double> power;
+
+ private:
+  struct Edge {
+    std::size_t a, b;
+    double g;
+  };
+  struct Boundary {
+    std::size_t node;
+    double g;
+    double temp;
+  };
+  std::vector<double> cap_;
+  std::vector<Edge> edges_;
+  std::vector<Boundary> boundary_;
+  LuFactorization lu_;
+  std::vector<double> rhs_;
+  double dt_ = 0.0;
+};
+
+/// The server floorplan as the oracle sees it, assembled from the params the
+/// way build_server_floorplan wires them: heatsink, package, then the dies.
+LuOracle floorplan_oracle(const FloorplanParams& p) {
+  LuOracle o;
+  const std::size_t hs = o.add_node(p.hs_capacitance, p.ambient_c);
+  const std::size_t pkg = o.add_node(p.pkg_capacitance, p.ambient_c);
+  o.connect_fixed(hs, std::pow(p.fan_speed_fraction, 0.8) /
+                          p.hs_to_ambient_resistance,
+                  p.ambient_c);
+  o.connect(pkg, hs, 1.0 / p.pkg_to_hs_resistance);
+  for (std::size_t i = 0; i < p.num_cores; ++i) {
+    const std::size_t die = o.add_node(p.die_capacitance, p.ambient_c);
+    o.connect(die, pkg, 1.0 / p.die_to_pkg_resistance);
+    if (i > 0) o.connect(die, die - 1, 1.0 / p.die_lateral_resistance);
+  }
+  return o;
+}
+
+/// Drive `stepped` (step() per substep), `lifted` (one advance per span) and
+/// the oracle through `total` substeps of random piecewise-constant power on
+/// the `driven` free nodes, spans of 1–400 substeps. `free_ids[i]` is the
+/// network node of oracle node i. Returns the worst |T − T_oracle| over
+/// every span end, for step and for advance.
+struct OracleGap {
+  double step = 0.0;
+  double advance = 0.0;
+};
+OracleGap track_oracle(RcNetwork& stepped, RcNetwork& lifted, LuOracle& oracle,
+                       const std::vector<NodeId>& free_ids,
+                       const std::vector<std::size_t>& driven, double dt,
+                       std::uint64_t total, double max_watts) {
+  oracle.factor(dt);
+  sim::Rng rng(2024);
+  OracleGap gap;
+  for (std::uint64_t done = 0; done < total;) {
+    const auto span = std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(rng.uniform_int(1, 400)), total - done);
+    for (const std::size_t i : driven) {
+      const double w = rng.uniform(0.0, max_watts);
+      oracle.power[i] = w;
+      stepped.set_power(free_ids[i], w);
+      lifted.set_power(free_ids[i], w);
+    }
+    for (std::uint64_t k = 0; k < span; ++k) {
+      oracle.step();
+      stepped.step(dt);
+    }
+    lifted.advance(dt, span);
+    done += span;
+    for (std::size_t i = 0; i < free_ids.size(); ++i) {
+      const double want = oracle.temp[i];
+      gap.step = std::max(gap.step,
+                          std::fabs(stepped.temperature(free_ids[i]) - want));
+      gap.advance = std::max(
+          gap.advance, std::fabs(lifted.temperature(free_ids[i]) - want));
+    }
+  }
+  return gap;
+}
+
+TEST(PropagatorTest, FloorplanTracksLuOracleOverRandomSpans) {
+  // 300 s of random die powers on the 250 µs grid, through the fixed-size
+  // kernel (6 free nodes).
+  const double dt = 0.00025;
+  FloorplanParams params;
+  RcNetwork stepped, lifted;
+  const FloorplanNodes nodes = build_server_floorplan(stepped, params);
+  build_server_floorplan(lifted, params);
+  LuOracle oracle = floorplan_oracle(params);
+  const std::vector<NodeId> free_ids = {nodes.heatsink, nodes.package,
+                                        nodes.die[0],   nodes.die[1],
+                                        nodes.die[2],   nodes.die[3]};
+  oracle.power[1] = 18.0;
+  stepped.set_power(nodes.package, 18.0);
+  lifted.set_power(nodes.package, 18.0);
+  const OracleGap gap = track_oracle(stepped, lifted, oracle, free_ids,
+                                     {2, 3, 4, 5}, dt, 1'200'000, 25.0);
+  EXPECT_LE(gap.step, kParityTolC);
+  EXPECT_LE(gap.advance, kParityTolC);
+  EXPECT_EQ(stepped.stats().solves, 6u);
+  EXPECT_EQ(lifted.stats().solves, 6u);
+}
+
+TEST(PropagatorTest, LargeNetworkTracksLuOracleOverRandomSpans) {
+  // 104 free nodes: a chain of 26 four-node islands, each island a heavy
+  // head and three light nodes, heads tied to a fixed boundary and to the
+  // next island. This size takes the runtime-n kernel.
+  const double dt = 0.00025;
+  RcNetwork stepped, lifted;
+  LuOracle oracle;
+  std::vector<NodeId> free_ids;
+  for (RcNetwork* net : {&stepped, &lifted}) {
+    const NodeId crac = net->add_fixed_node("crac", 18.0);
+    for (std::size_t i = 0; i < 104; ++i) {
+      const bool head = i % 4 == 0;
+      const NodeId n = net->add_node("n", head ? 50.0 : 0.05, 25.0);
+      if (net == &stepped) free_ids.push_back(n);
+      if (head) net->connect_r(crac, n, 0.4);
+      if (i > 0) net->connect_r(n - 1, n, head ? 2.0 : 0.15);
+    }
+  }
+  for (std::size_t i = 0; i < 104; ++i) {
+    const bool head = i % 4 == 0;
+    oracle.add_node(head ? 50.0 : 0.05, 25.0);
+    if (head) oracle.connect_fixed(i, 1.0 / 0.4, 18.0);
+    if (i > 0) oracle.connect(i - 1, i, 1.0 / (head ? 2.0 : 0.15));
+  }
+  std::vector<std::size_t> driven;
+  for (std::size_t i = 0; i < 104; ++i) {
+    if (i % 4 != 0) driven.push_back(i);
+  }
+  const OracleGap gap = track_oracle(stepped, lifted, oracle, free_ids, driven,
+                                     dt, 20'000, 10.0);
+  EXPECT_LE(gap.step, kParityTolC);
+  EXPECT_LE(gap.advance, kParityTolC);
+  EXPECT_EQ(lifted.stats().solves, 104u);
+}
+
+TEST(PropagatorTest, FixedSizeKernelIsBitIdenticalToRuntimeLoop) {
+  // Random 6×12 tables on three levels: the N = 6 instantiation and the
+  // runtime-n loop sum each row in the same order, so they agree bitwise.
+  constexpr std::size_t n = 6;
+  sim::Rng rng(99);
+  std::vector<double> tables(3 * n * 2 * n);
+  for (double& v : tables) v = rng.uniform(-1.0, 1.0);
+  for (const std::uint64_t k : {1u, 2u, 3u, 5u, 6u, 7u}) {
+    SCOPED_TRACE(k);
+    double fixed_x[2 * n], fixed_y[n];
+    std::vector<double> loop_x(2 * n), loop_y(n);
+    for (std::size_t i = 0; i < 2 * n; ++i) {
+      fixed_x[i] = loop_x[i] = rng.uniform(-50.0, 50.0);
+    }
+    apply_lifted<n>(tables.data(), k, fixed_x, fixed_y);
+    apply_lifted(tables.data(), k, loop_x.data(), loop_y.data(), n);
+    for (std::size_t i = 0; i < 2 * n; ++i) EXPECT_EQ(fixed_x[i], loop_x[i]);
+  }
 }
 
 /// advance(dt, j) from the same start state must match j sequential step(dt)
