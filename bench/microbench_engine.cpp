@@ -248,6 +248,7 @@ struct AdvanceResult {
   double factorizations_per_sim_second = 0.0;
   std::uint64_t events_executed = 0;
   double events_per_sim_second = 0.0;
+  std::uint64_t power_evals = 0;
 };
 
 AdvanceResult measure_machine_advance(AdvanceWorkload kind, bool reference,
@@ -293,6 +294,7 @@ AdvanceResult measure_machine_advance(AdvanceWorkload kind, bool reference,
       static_cast<double>(r.factorizations) / sim_seconds;
   r.events_executed = machine.simulator().events_executed();
   r.events_per_sim_second = static_cast<double>(r.events_executed) / sim_seconds;
+  r.power_evals = t.core_power_evals;
   r.ns_per_substep =
       r.substeps > 0 ? r.wall_seconds * 1e9 / static_cast<double>(r.substeps)
                      : 0.0;
@@ -400,6 +402,12 @@ WarmStartResult measure_warm_start() {
   return r;
 }
 
+double power_evals_per_event(const AdvanceResult& r) {
+  return r.events_executed > 0 ? static_cast<double>(r.power_evals) /
+                                     static_cast<double>(r.events_executed)
+                               : 0.0;
+}
+
 void put_advance(std::FILE* f, const char* key, const AdvanceResult& r,
                  const char* trailing) {
   std::fprintf(
@@ -416,7 +424,9 @@ void put_advance(std::FILE* f, const char* key, const AdvanceResult& r,
       "      \"solves\": %llu,\n"
       "      \"free_nodes\": %llu,\n"
       "      \"events_executed\": %llu,\n"
-      "      \"events_per_sim_second\": %.1f\n"
+      "      \"events_per_sim_second\": %.1f,\n"
+      "      \"power_evals\": %llu,\n"
+      "      \"power_evals_per_event\": %.6f\n"
       "    }%s\n",
       key, r.wall_seconds, r.sim_seconds_per_sec, r.ns_per_substep,
       static_cast<unsigned long long>(r.substeps),
@@ -427,7 +437,8 @@ void put_advance(std::FILE* f, const char* key, const AdvanceResult& r,
       static_cast<unsigned long long>(r.solves),
       static_cast<unsigned long long>(r.free_nodes),
       static_cast<unsigned long long>(r.events_executed),
-      r.events_per_sim_second, trailing);
+      r.events_per_sim_second, static_cast<unsigned long long>(r.power_evals),
+      power_evals_per_event(r), trailing);
 }
 
 // Events per simulated second the default (fast-forward) config may run.
@@ -437,6 +448,14 @@ void put_advance(std::FILE* f, const char* key, const AdvanceResult& r,
 // a second 5 ms tick (+200/s) would cost.
 constexpr double kCpuBurnEventBudget = 300.0;
 constexpr double kWebEventBudget = 2900.0;
+
+// Per-core power-model evaluations (power memo misses) per event the
+// default config may run. At most one thermal span runs per event and each
+// evaluates every physical core, so a budget is 1.5x the cell's measured
+// miss share times 4 cores: cpuburn×4 misses 12 of 252,048 calls (its
+// operating points settle after start-up), open-loop web 23.5%.
+constexpr double kCpuBurnPowerEvalBudget = 1.5 * 4.8e-5 * 4;
+constexpr double kWebPowerEvalBudget = 1.5 * 0.235 * 4;
 
 int write_engine_json() {
   const char* env = std::getenv("DIMETRODON_BENCH_JSON");
@@ -478,7 +497,7 @@ int write_engine_json() {
   }
   std::fprintf(f,
                "{\n"
-               "  \"schema\": \"dimetrodon-bench-engine v6\",\n"
+               "  \"schema\": \"dimetrodon-bench-engine v7\",\n"
                "  \"machine_advance\": {\n"
                "    \"workload\": \"cpuburn x4\",\n"
                "    \"sim_seconds\": %.1f,\n",
@@ -487,17 +506,20 @@ int write_engine_json() {
   put_advance(f, "fast_forward", fast, ",");
   std::fprintf(f,
                "    \"speedup\": %.3f,\n"
-               "    \"events_budget_per_sim_second\": %.1f\n"
+               "    \"events_budget_per_sim_second\": %.1f,\n"
+               "    \"power_evals_budget_per_event\": %.6f\n"
                "  },\n"
                "  \"open_loop_web\": {\n"
                "    \"workload\": \"open-loop web, Poisson 600 rps\",\n"
                "    \"sim_seconds\": %.1f,\n",
-               speedup, kCpuBurnEventBudget, kWebSimSeconds);
+               speedup, kCpuBurnEventBudget, kCpuBurnPowerEvalBudget,
+               kWebSimSeconds);
   put_advance(f, "reference", web_ref, ",");
   put_advance(f, "fast_forward", web_fast, ",");
   std::fprintf(f,
                "    \"speedup\": %.3f,\n"
-               "    \"events_budget_per_sim_second\": %.1f\n"
+               "    \"events_budget_per_sim_second\": %.1f,\n"
+               "    \"power_evals_budget_per_event\": %.6f\n"
                "  },\n"
                "  \"event_queue\": {\n"
                "    \"workload\": \"%d self-rescheduling timers, "
@@ -505,7 +527,8 @@ int write_engine_json() {
                "    \"fired_per_sec\": %.0f,\n"
                "    \"cancel_share\": %.3f\n"
                "  },\n",
-               web_speedup, kWebEventBudget, TimerChurn::kTimers,
+               web_speedup, kWebEventBudget, kWebPowerEvalBudget,
+               TimerChurn::kTimers,
                queue.fired_per_sec, queue.cancel_share);
   std::fprintf(f,
                "  \"warm_start\": {\n"
@@ -555,6 +578,19 @@ int write_engine_json() {
                    "BAR FAILED: %s ran %.1f events per simulated second "
                    "(budget: %.1f)\n",
                    cell, r.events_per_sim_second, budget);
+      rc = 1;
+    }
+  }
+  for (const auto& [cell, r, budget] :
+       {std::tuple{"machine advance", fast, kCpuBurnPowerEvalBudget},
+        std::tuple{"open-loop web", web_fast, kWebPowerEvalBudget}}) {
+    if (power_evals_per_event(r) > budget) {
+      // The power memo re-evaluates a core only when its operating point
+      // or activity changed; a key that never hits shows up here.
+      std::fprintf(stderr,
+                   "BAR FAILED: %s ran %.6f power evaluations per event "
+                   "(budget: %.6f)\n",
+                   cell, power_evals_per_event(r), budget);
       rc = 1;
     }
   }

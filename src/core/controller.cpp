@@ -44,8 +44,12 @@ void DimetrodonController::sys_set_exempt_kernel(bool exempt) {
 const InjectionStats& DimetrodonController::thread_stats(
     sched::ThreadId tid) const {
   static const InjectionStats kEmpty{};
-  const auto it = per_thread_.find(tid);
-  return it == per_thread_.end() ? kEmpty : it->second;
+  return tid < per_thread_.size() ? per_thread_[tid] : kEmpty;
+}
+
+InjectionStats& DimetrodonController::per_thread(sched::ThreadId tid) {
+  if (tid >= per_thread_.size()) per_thread_.resize(tid + 1);
+  return per_thread_[tid];
 }
 
 void DimetrodonController::reset_stats() {
@@ -58,11 +62,12 @@ std::optional<sim::SimTime> DimetrodonController::before_dispatch(
   const InjectionParams params = table_.params_for(t);
   if (!params.enabled()) return std::nullopt;
   ++stats_.decisions;
-  ++per_thread_[t.id()].decisions;
+  InjectionStats& thread = per_thread(t.id());
+  ++thread.decisions;
   const auto quantum = policy_->decide(t.id(), params, now);
   if (quantum.has_value()) {
     ++stats_.injections;
-    ++per_thread_[t.id()].injections;
+    ++thread.injections;
   }
   return quantum;
 }
@@ -73,7 +78,7 @@ void DimetrodonController::on_injection_complete(const sched::Thread& t,
   // Stats use the nominal quantum; actual residency equals it by mechanism.
   const InjectionParams params = table_.params_for(t);
   stats_.injected_idle += params.quantum;
-  per_thread_[t.id()].injected_idle += params.quantum;
+  per_thread(t.id()).injected_idle += params.quantum;
 }
 
 }  // namespace dimetrodon::core

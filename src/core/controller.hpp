@@ -2,7 +2,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "core/injection.hpp"
 #include "core/policy_table.hpp"
@@ -70,7 +70,9 @@ class DimetrodonController final : public sched::InjectionHook {
   std::unique_ptr<InjectionPolicy> policy_;
   PolicyTable table_;
   InjectionStats stats_;
-  std::unordered_map<sched::ThreadId, InjectionStats> per_thread_;
+  /// Indexed by ThreadId (dense machine indices); grown on first sight.
+  std::vector<InjectionStats> per_thread_;
+  InjectionStats& per_thread(sched::ThreadId tid);
 };
 
 }  // namespace dimetrodon::core

@@ -27,6 +27,7 @@ const std::vector<CounterTotals::Field>& CounterTotals::fields() {
       {"thermal_solves", &CounterTotals::thermal_solves, kMachine},
       {"thermal_matvecs", &CounterTotals::thermal_matvecs, kMachine},
       {"thermal_evictions", &CounterTotals::thermal_evictions, kMachine},
+      {"core_power_evals", &CounterTotals::core_power_evals, kMachine},
       {"snapshot_builds", &CounterTotals::snapshot_builds, kSweep},
       {"snapshot_forks", &CounterTotals::snapshot_forks, kSweep},
       {"requests_routed", &CounterTotals::requests_routed, kCluster},

@@ -75,6 +75,11 @@ struct CounterTotals : CoreCounters {
   /// Always 0: each network holds one step operator, so there is nothing to
   /// evict. Kept so serialized totals and their readers keep the field.
   std::uint64_t thermal_evictions = 0;
+  /// Per-core power-model evaluations the machine actually ran: misses of
+  /// its per-physical-core operating-point memo. A cache statistic, so a
+  /// machine restored from a snapshot (whose memo starts cold) may count up
+  /// to one more per physical core than the run it forked from.
+  std::uint64_t core_power_evals = 0;
 
   // Warm-start counters. The machine never increments these; the sweep
   // engine's snapshot cache does (builds = warmup prefixes simulated, forks

@@ -42,11 +42,11 @@ double CpuPowerModel::leakage_temp_factor(double die_temp_c) const {
   return std::exp(params_.leakage_temp_coeff * dt);
 }
 
-double CpuPowerModel::core_leakage_power_with_factor(
-    const CoreOperatingPoint& op, double temp_factor) const {
+double CpuPowerModel::core_leakage_voltage_term(
+    const CoreOperatingPoint& op) const {
   const double v = effective_voltage(op);
   const double v0 = params_.nominal_voltage_v;
-  return params_.core_leakage_nominal_w * (v / v0) * (v / v0) * temp_factor;
+  return params_.core_leakage_nominal_w * (v / v0) * (v / v0);
 }
 
 double CpuPowerModel::uncore_power(double mean_activity) const {

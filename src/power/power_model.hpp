@@ -46,8 +46,9 @@ struct CoreOperatingPoint {
 
 /// Analytic power model: P_core = P_dyn(a, V, f, duty, C-state) +
 /// P_leak(V, T_die). Pure function of the operating point and die
-/// temperature; the machine queries it every thermal substep so leakage
-/// tracks the die temperature trajectory.
+/// temperature. Leakage factors into a voltage term and a temperature
+/// factor, so a caller can re-evaluate only the part whose input changed:
+/// the machine memoises both per physical core (sched::Machine).
 class CpuPowerModel {
  public:
   explicit CpuPowerModel(PowerModelParams params = {})
@@ -68,10 +69,17 @@ class CpuPowerModel {
   /// pure function of the die temperature, so callers may memoise it.
   double leakage_temp_factor(double die_temp_c) const;
 
-  /// Leakage power given a precomputed leakage_temp_factor(); bit-identical
-  /// to core_leakage_power at that temperature.
+  /// The voltage part of leakage, L0·(V/V0)², at the operating point's
+  /// effective voltage: a pure function of the operating point.
+  double core_leakage_voltage_term(const CoreOperatingPoint& op) const;
+
+  /// Leakage power given a precomputed leakage_temp_factor(): the voltage
+  /// term times the factor, bit-identical to core_leakage_power at that
+  /// temperature.
   double core_leakage_power_with_factor(const CoreOperatingPoint& op,
-                                        double temp_factor) const;
+                                        double temp_factor) const {
+    return core_leakage_voltage_term(op) * temp_factor;
+  }
 
   /// Total power of one core, watts.
   double core_power(const CoreOperatingPoint& op, double die_temp_c) const {

@@ -27,12 +27,12 @@ Machine::Machine(MachineConfig config)
   config_.floorplan.num_cores = config_.num_cores;
   nodes_ = thermal::build_server_floorplan(network_, config_.floorplan);
   sensors_.reserve(config_.num_cores);
-  leakage_memo_.resize(config_.num_cores);
+  power_memo_.resize(config_.num_cores);
   for (std::size_t i = 0; i < config_.num_cores; ++i) {
     sensors_.emplace_back(network_, nodes_.die[i]);
     const double t = network_.temperature(nodes_.die[i]);
-    leakage_memo_[i] = {std::bit_cast<std::uint64_t>(t),
-                        power_model_.leakage_temp_factor(t)};
+    power_memo_[i].temp_bits = std::bit_cast<std::uint64_t>(t);
+    power_memo_[i].temp_factor = power_model_.leakage_temp_factor(t);
   }
   const std::size_t logical_cpus =
       config_.num_cores * (config_.smt_enabled ? 2 : 1);
@@ -112,44 +112,70 @@ Machine::Machine(MachineConfig config)
 double Machine::leakage_factor(std::size_t phys) {
   const double t = network_.temperature(nodes_.die[phys]);
   const auto bits = std::bit_cast<std::uint64_t>(t);
-  LeakageMemo& m = leakage_memo_[phys];
+  PowerMemo& m = power_memo_[phys];
   if (m.temp_bits != bits) {
     m.temp_bits = bits;
-    m.factor = power_model_.leakage_temp_factor(t);
+    m.temp_factor = power_model_.leakage_temp_factor(t);
   }
-  return m.factor;
+  return m.temp_factor;
+}
+
+bool Machine::PowerMemo::Context::matches(const Core& c) const {
+  // Bits, not values: an entry stored for -0.0 must not answer for +0.0.
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  return activity == c.activity && op.cstate == c.op.cstate &&
+         op.in_transition == c.op.in_transition &&
+         same(op.voltage_v, c.op.voltage_v) &&
+         same(op.freq_ghz, c.op.freq_ghz) &&
+         same(op.activity, c.op.activity) &&
+         same(op.clock_duty, c.op.clock_duty);
 }
 
 double Machine::physical_core_power(std::size_t phys) {
-  // Dynamic power sums over the hardware contexts sharing the die; leakage
-  // is a property of the physical core and its supply voltage. The voltage
-  // only drops to the C1E level once EVERY context is settled in the idle
-  // state — the constraint that made the paper disable SMT (§3.2).
-  double dynamic = 0.0;
-  bool all_deep_idle = true;
-  double voltage = 0.0;
-  std::size_t executing = 0;
   const std::size_t contexts = config_.smt_enabled ? 2 : 1;
-  for (std::size_t k = 0; k < contexts; ++k) {
-    const Core& c = cores_[phys * contexts + k];
-    dynamic += power_model_.core_dynamic_power(c.op);
-    if (c.activity == CoreActivity::kExecuting) ++executing;
-    if (c.activity != CoreActivity::kIdle || c.op.in_transition ||
-        c.op.cstate != power::CState::kC1E) {
-      all_deep_idle = false;
-    }
-    voltage = std::max(voltage, c.op.voltage_v);
+  const Core* ctx = &cores_[phys * contexts];
+  PowerMemo& m = power_memo_[phys];
+  bool hit = m.valid;
+  for (std::size_t k = 0; hit && k < contexts; ++k) {
+    hit = m.contexts[k].matches(ctx[k]);
   }
-  // SMT contexts share execution units: switching power tracks retired work
-  // (each context runs at the SMT throughput factor), not the sum of two
-  // full pipelines.
-  if (executing == 2) dynamic *= config_.smt_throughput_factor;
-  power::CoreOperatingPoint leak_op;
-  leak_op.cstate = all_deep_idle ? power::CState::kC1E : power::CState::kC0;
-  leak_op.in_transition = false;
-  leak_op.voltage_v = voltage;
-  return dynamic + power_model_.core_leakage_power_with_factor(
-                       leak_op, leakage_factor(phys));
+  if (!hit) {
+    // Dynamic power sums over the hardware contexts sharing the die;
+    // leakage is a property of the physical core and its supply voltage.
+    // The voltage only drops to the C1E level once EVERY context is settled
+    // in the idle state — the constraint that made the paper disable SMT
+    // (§3.2).
+    double dynamic = 0.0;
+    bool all_deep_idle = true;
+    double voltage = 0.0;
+    std::size_t executing = 0;
+    for (std::size_t k = 0; k < contexts; ++k) {
+      const Core& c = ctx[k];
+      m.contexts[k] = {c.op, c.activity};
+      dynamic += power_model_.core_dynamic_power(c.op);
+      if (c.activity == CoreActivity::kExecuting) ++executing;
+      if (c.activity != CoreActivity::kIdle || c.op.in_transition ||
+          c.op.cstate != power::CState::kC1E) {
+        all_deep_idle = false;
+      }
+      voltage = std::max(voltage, c.op.voltage_v);
+    }
+    // SMT contexts share execution units: switching power tracks retired
+    // work (each context runs at the SMT throughput factor), not the sum of
+    // two full pipelines.
+    if (executing == 2) dynamic *= config_.smt_throughput_factor;
+    power::CoreOperatingPoint leak_op;
+    leak_op.cstate = all_deep_idle ? power::CState::kC1E : power::CState::kC0;
+    leak_op.in_transition = false;
+    leak_op.voltage_v = voltage;
+    m.dynamic = dynamic;
+    m.leak_term = power_model_.core_leakage_voltage_term(leak_op);
+    m.valid = true;
+    ++tracer_.counters().core_power_evals;
+  }
+  return m.dynamic + m.leak_term * leakage_factor(phys);
 }
 
 Core* Machine::sibling(const Core& c) {
@@ -1212,6 +1238,9 @@ void Machine::restore(const MachineSnapshot& s) {
   thread_timers_.clear();
 
   master_rng_ = s.master_rng;
+  // The power memo is not captured: restore starts it cold, so a fork may
+  // count up to one more core_power_evals per core than its replay.
+  for (PowerMemo& m : power_memo_) m.valid = false;
   network_.restore_state(s.thermal);
   last_thermal_update_ = s.last_thermal_update;
   thermal_grid_ = s.thermal_grid;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -315,10 +316,14 @@ class Machine {
   void finish_thread(Core& core, Thread& t);
 
   // Physics.
+  /// Dynamic plus leakage power of one physical core, watts. Both parts
+  /// come from the core's PowerMemo: the operating-point part is
+  /// re-evaluated only when a hardware context's operating point or
+  /// activity changed since the previous call, and the leakage temperature
+  /// factor only when the die temperature did.
   double physical_core_power(std::size_t phys);
   /// The leakage temperature factor at `phys`'s die temperature, memoised
   /// on the temperature's bits, which change only when the network steps.
-  /// A pure cache: kept out of snapshots, and a miss recomputes exactly.
   double leakage_factor(std::size_t phys);
   double execution_rate(const Core& c) const;
   Core* sibling(const Core& c);
@@ -361,11 +366,25 @@ class Machine {
   std::vector<thermal::CoreTempSensor> sensors_;
 
   power::CpuPowerModel power_model_;
-  struct LeakageMemo {
+  /// Per-physical-core power cache. The key is every hardware context's
+  /// operating point and activity, compared field by field on their bits;
+  /// the values are a pure function of the key and the (fixed) config, so a
+  /// stale entry is never wrong, only missed. A pure cache: kept out of
+  /// snapshots and canonical text, and a miss recomputes exactly.
+  struct PowerMemo {
+    struct Context {
+      power::CoreOperatingPoint op;
+      CoreActivity activity = CoreActivity::kIdle;
+      bool matches(const Core& c) const;
+    };
+    std::array<Context, 2> contexts;  // [1] is used only with SMT
+    bool valid = false;
+    double dynamic = 0.0;    // watts, after the SMT throughput factor
+    double leak_term = 0.0;  // L0·(v/v0)² at the leak operating point
     std::uint64_t temp_bits = 0;
-    double factor = 0.0;
+    double temp_factor = 0.0;  // leakage_temp_factor at temp_bits
   };
-  std::vector<LeakageMemo> leakage_memo_;  // per physical core
+  std::vector<PowerMemo> power_memo_;  // per physical core
   std::optional<power::PowerMeter> meter_;
   power::EnergyAccountant energy_;
 

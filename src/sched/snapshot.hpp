@@ -31,10 +31,12 @@ namespace dimetrodon::sched {
 ///    Box-Muller halves) is copied verbatim.
 ///
 /// Deliberately NOT captured: the thermal step operator (a pure function of
-/// topology + dt; rebuilt lazily with bit-identical arithmetic, so only the
-/// factorization/solve work counters can exceed the replay's)
-/// and anything precondition-excluded by Machine::snapshot (meter, trace
-/// sink, reference stepper, an attached injection hook).
+/// topology + dt; rebuilt lazily with bit-identical arithmetic, so the
+/// factorization/solve work counters can exceed the replay's), the
+/// machine's power memo (a pure cache, restored cold, so core_power_evals
+/// can exceed the replay's by one per physical core), and anything
+/// precondition-excluded by Machine::snapshot (meter, trace sink, reference
+/// stepper, an attached injection hook).
 struct MachineSnapshot {
   /// One captured pending event: scheduled time plus tie-break rank.
   struct EventStamp {

@@ -46,7 +46,12 @@ namespace dimetrodon::sim {
 /// apply precomputed [A^(2^j) | S_(2^j)·M⁻¹] tables instead of an LU solve —
 /// so modelled temperatures move in their last bits (≤1e-9 °C); the
 /// thermal_solves counter joined obs::CounterTotals::fields().
-inline constexpr int kCanonVersion = 13;
+///
+/// v14: the machine memoises per-core power on the operating point, and
+/// the core_power_evals counter (memo misses) joined
+/// obs::CounterTotals::fields(), so the cached record format changed;
+/// modelled results are unchanged.
+inline constexpr int kCanonVersion = 14;
 
 /// The one way canonical text is produced. Fields render as "key=value "
 /// with doubles in hex-float (%a) so the text is bit-exact, integers in hex,

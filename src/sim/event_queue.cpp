@@ -15,7 +15,7 @@ constexpr std::size_t kCompactMinEntries = 64;
 namespace detail {
 
 std::uint32_t ControlArena::alloc(SimTime at, std::uint64_t seq,
-                                  EventCallback fn) {
+                                  InlineCallback&& fn) {
   std::uint32_t idx;
   if (free_head != kNoSlot) {
     idx = free_head;
@@ -44,7 +44,7 @@ void ControlArena::release(std::uint32_t idx) {
   --live;
   // Destroy the closure last, from a local: its captures' destructors may
   // re-enter the queue, and must find the slot already released.
-  EventCallback dead = std::move(s.fn);
+  InlineCallback dead = std::move(s.fn);
 }
 
 }  // namespace detail
@@ -68,7 +68,8 @@ std::uint64_t EventHandle::seq() const {
   return active() ? arena_->slots[slot_].seq : 0;
 }
 
-EventHandle EventQueue::schedule(SimTime at, Callback fn) {
+EventHandle EventQueue::schedule_callback(SimTime at,
+                                          detail::InlineCallback&& fn) {
   assert(at >= 0 && at != kTimeInfinity);
   maybe_compact();
   const std::uint64_t seq = next_seq_++;
@@ -118,7 +119,7 @@ SimTime EventQueue::pop_and_run() {
   heap_.pop_back();
   // Move the callback out before running it: it may schedule new events,
   // which can reuse this slot or reallocate the arena.
-  Callback fn = std::move(arena_->slots[e.slot].fn);
+  detail::InlineCallback fn = std::move(arena_->slots[e.slot].fn);
   arena_->release(e.slot);  // fired: outstanding handles go inert
   fn(e.at);
   return e.at;

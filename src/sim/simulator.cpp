@@ -1,18 +1,6 @@
 #include "sim/simulator.hpp"
 
-#include <cassert>
-
 namespace dimetrodon::sim {
-
-EventHandle Simulator::at(SimTime when, EventQueue::Callback fn) {
-  assert(when >= now_);
-  return queue_.schedule(when, std::move(fn));
-}
-
-EventHandle Simulator::after(SimTime delay, EventQueue::Callback fn) {
-  assert(delay >= 0);
-  return queue_.schedule(now_ + delay, std::move(fn));
-}
 
 void Simulator::run_until(SimTime deadline) {
   // One head query per event: next_time() drops cancelled carcasses and

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <utility>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -15,10 +17,18 @@ class Simulator {
   SimTime now() const { return now_; }
 
   /// Schedule `fn` at absolute simulation time `at` (must be >= now()).
-  EventHandle at(SimTime when, EventQueue::Callback fn);
+  template <typename F>
+  EventHandle at(SimTime when, F&& fn) {
+    assert(when >= now_);
+    return queue_.schedule(when, std::forward<F>(fn));
+  }
 
   /// Schedule `fn` after a relative delay (must be >= 0).
-  EventHandle after(SimTime delay, EventQueue::Callback fn);
+  template <typename F>
+  EventHandle after(SimTime delay, F&& fn) {
+    assert(delay >= 0);
+    return queue_.schedule(now_ + delay, std::forward<F>(fn));
+  }
 
   /// Run events until the queue empties or the clock would pass `deadline`.
   /// The clock is left at min(deadline, time of last event). Events scheduled

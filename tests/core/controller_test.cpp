@@ -119,10 +119,15 @@ TEST(ControllerTest, ResetStatsClearsCounters) {
   workload::CpuBurnFleet fleet(2);
   fleet.deploy(m);
   m.run_for(sim::from_sec(5));
+  EXPECT_GT(ctl.thread_stats(fleet.threads()[0]).decisions, 0u);
   ctl.reset_stats();
   EXPECT_EQ(ctl.stats().decisions, 0u);
   EXPECT_EQ(ctl.stats().injections, 0u);
   EXPECT_EQ(ctl.stats().injected_idle, 0);
+  for (const sched::ThreadId tid : fleet.threads()) {
+    EXPECT_EQ(ctl.thread_stats(tid).decisions, 0u);
+    EXPECT_EQ(ctl.thread_stats(tid).injected_idle, 0);
+  }
 }
 
 TEST(ControllerTest, StratifiedPolicyInjectsExactProportion) {

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -297,6 +300,115 @@ TEST(EventQueueTest, DestroyingTheQueueDropsClosuresThatPinTheArena) {
   EXPECT_EQ(token.use_count(), 1);
   EXPECT_FALSE(outer.active());
   EXPECT_FALSE(outer.cancel());
+}
+
+// Inline callbacks: the slot stores a closure of up to 32 bytes in place.
+// A trivially copyable one has no manager at all; one that owns something
+// is moved and destroyed by its manager; a larger one lives on the heap.
+using detail::InlineCallback;
+
+TEST(EventQueueInlineCallbackTest, TriviallyCopyableClosureRunsInline) {
+  // The shape of the machine's closures: `[this, &core]`.
+  struct Owner {
+    int fired = 0;
+    SimTime last = -1;
+  } owner;
+  int core = 7;
+  auto fn = [o = &owner, &core](SimTime t) {
+    o->fired += core;
+    o->last = t;
+  };
+  static_assert(std::is_trivially_copyable_v<decltype(fn)>);
+  static_assert(InlineCallback::fits_inline<decltype(fn)>());
+  EventQueue q;
+  for (SimTime t = 1; t <= 200; ++t) q.schedule(t, fn);  // grows the arena
+  EventHandle h = q.schedule(150, fn);
+  EXPECT_TRUE(h.cancel());
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(owner.fired, 200 * 7);
+  EXPECT_EQ(owner.last, 200);
+
+  // A moved-from callback is empty; the moved-to one runs the closure.
+  InlineCallback a(fn);
+  InlineCallback b(std::move(a));
+  EXPECT_FALSE(a);
+  ASSERT_TRUE(b);
+  b(999);
+  EXPECT_EQ(owner.last, 999);
+}
+
+TEST(EventQueueInlineCallbackTest, OwningCaptureIsReleasedAtCancelFireAndClear) {
+  auto token = std::make_shared<int>(0);
+  auto fn = [token](SimTime) {};
+  static_assert(!std::is_trivially_copyable_v<decltype(fn)>);
+  static_assert(InlineCallback::fits_inline<decltype(fn)>());
+  // Machine::call_at's std::function takes the same managed inline path.
+  static_assert(
+      InlineCallback::fits_inline<std::function<void(SimTime)>>());
+  EventQueue q;
+  EventHandle cancelled = q.schedule(5, fn);
+  q.schedule(6, std::function<void(SimTime)>(fn));
+  q.schedule(7, fn);
+  // Arena growth relocates the pending closures through their managers,
+  // which must neither copy nor drop a capture.
+  for (SimTime t = 100; t < 400; ++t) q.schedule(t, [](SimTime) {});
+  EXPECT_EQ(token.use_count(), 5);
+  EXPECT_TRUE(cancelled.cancel());
+  EXPECT_EQ(token.use_count(), 4);
+  EXPECT_EQ(q.pop_and_run(), 6);
+  EXPECT_EQ(token.use_count(), 3);
+  q.clear();
+  EXPECT_EQ(token.use_count(), 2);  // `fn` itself
+}
+
+TEST(EventQueueInlineCallbackTest, ClosureLargerThanTheBufferLivesOnTheHeap) {
+  auto token = std::make_shared<int>(0);
+  std::array<std::uint64_t, 8> payload{};
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = i * i;
+  std::uint64_t sum = 0;
+  auto fn = [payload, token, &sum](SimTime) {
+    for (const std::uint64_t v : payload) sum += v;
+  };
+  static_assert(sizeof(fn) > InlineCallback::kCapacity);
+  static_assert(!InlineCallback::fits_inline<decltype(fn)>());
+  EventQueue q;
+  EventHandle cancelled = q.schedule(1, fn);
+  q.schedule(2, fn);
+  q.schedule(3, fn);
+  for (SimTime t = 100; t < 400; ++t) q.schedule(t, [](SimTime) {});
+  EXPECT_EQ(token.use_count(), 5);
+  EXPECT_TRUE(cancelled.cancel());
+  EXPECT_EQ(token.use_count(), 4);
+  EXPECT_EQ(q.pop_and_run(), 2);
+  EXPECT_EQ(sum, 140u);  // 0 + 1 + 4 + ... + 49
+  EXPECT_EQ(token.use_count(), 3);
+  q.clear();
+  EXPECT_EQ(token.use_count(), 2);
+}
+
+TEST(EventQueueTest, HandlesKeepTheArenaAliveAfterTheQueue) {
+  // The queue and each handle own one reference to the arena; the last
+  // owner frees it, whichever that is.
+  EventHandle fired;
+  EventHandle pending;
+  EventHandle copy;
+  {
+    EventQueue q;
+    fired = q.schedule(1, [](SimTime) {});
+    pending = q.schedule(2, [](SimTime) {});
+    copy = pending;
+    EXPECT_EQ(q.pop_and_run(), 1);
+    EXPECT_FALSE(fired.active());
+    EXPECT_TRUE(copy.active());
+    EXPECT_EQ(copy.time(), 2);
+  }
+  EXPECT_FALSE(pending.active());
+  EXPECT_FALSE(copy.cancel());
+  EXPECT_EQ(copy.time(), kTimeInfinity);
+  fired = EventHandle();
+  pending = copy;
+  copy = EventHandle();
+  EXPECT_FALSE(pending.active());
 }
 
 // Differential test on production-shaped streams: seeded random mixes of
