@@ -362,7 +362,7 @@ WarmStartResult measure_warm_start() {
   auto t0 = std::chrono::steady_clock::now();
   for (const double p : probs) {
     cold.push_back(runner.measure_after_warmup(
-        factory, harness::actuation::dimetrodon(p, sim::from_ms(100)),
+        factory, harness::ActuationSpec::global(p, sim::from_ms(100)),
         warmup));
   }
   r.cold_wall =
@@ -375,7 +375,7 @@ WarmStartResult measure_warm_start() {
       runner.build_warmup_snapshot(factory, warmup);
   for (const double p : probs) {
     warm.push_back(runner.measure_warm(
-        factory, harness::actuation::dimetrodon(p, sim::from_ms(100)), snap));
+        factory, harness::ActuationSpec::global(p, sim::from_ms(100)), snap));
   }
   r.warm_wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

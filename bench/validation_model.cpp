@@ -73,8 +73,9 @@ runner::RunSpec energy_trial_spec(const sched::MachineConfig& base, double p,
           return std::make_unique<workload::CpuBurnFleet>(4, kWorkSeconds);
         };
         const auto dim = r.run_to_completion(
-            burn, harness::actuation::dimetrodon(p, quantum), sim::from_sec(300));
-        const auto rti = r.run_window(burn, harness::actuation::none(),
+            burn, harness::ActuationSpec::global(p, quantum),
+            sim::from_sec(300));
+        const auto rti = r.run_window(burn, harness::ActuationSpec::none(),
                                       sim::from_sec(dim.completion_seconds));
         runner::RunRecord rec;
         rec.window = dim;

@@ -18,7 +18,7 @@ int main() {
   };
 
   std::printf("Running cpuburn unconstrained (race-to-idle)...\n");
-  const auto baseline = runner.measure(cpuburn, harness::actuation::none());
+  const auto baseline = runner.measure(cpuburn, harness::ActuationSpec::none());
   std::printf("  idle temp %.1f C | loaded temp %.1f C (exact %.2f C)\n",
               baseline.idle_sensor_temp_c, baseline.avg_sensor_temp_c,
               baseline.avg_exact_temp_c);
@@ -30,7 +30,7 @@ int main() {
   std::printf("Running cpuburn under Dimetrodon (p=%.2f, L=%.0f ms)...\n", p,
               sim::to_ms(quantum));
   const auto run =
-      runner.measure(cpuburn, harness::actuation::dimetrodon(p, quantum));
+      runner.measure(cpuburn, harness::ActuationSpec::global(p, quantum));
   std::printf("  loaded temp %.1f C (exact %.2f C) | throughput %.3f | "
               "power %.1f W | injected idle %.1f%%\n",
               run.avg_sensor_temp_c, run.avg_exact_temp_c, run.throughput,

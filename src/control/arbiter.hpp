@@ -3,35 +3,16 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <type_traits>
 
 #include "control/governor.hpp"
 #include "core/controller.hpp"
-#include "policy/thermal_policy.hpp"
 
 namespace dimetrodon::control {
-
-/// The two actuation taxonomies must stay disjoint: a policy::ThermalPolicy
-/// is a static pre-run setting of hardware knobs (DVFS level, TCC duty step)
-/// and a control::Governor is a runtime feedback loop over the *injection*
-/// duty cycle. They compose — a VFS setpoint under a PID injection loop is a
-/// valid experiment — precisely because they never write the same knob. If
-/// either ever derived from the other, one "apply" could silently clobber
-/// the other's actuation; keep the compiler holding that door shut.
-static_assert(!std::is_base_of_v<policy::ThermalPolicy, Governor>,
-              "control::Governor must not be a policy::ThermalPolicy: "
-              "governors are feedback loops over injection duty, not static "
-              "machine actuations — compose them, never substitute");
-static_assert(!std::is_base_of_v<Governor, policy::ThermalPolicy>,
-              "policy::ThermalPolicy must not be a control::Governor: "
-              "static actuations have no feedback state to sample");
-static_assert(!std::is_convertible_v<Governor*, policy::ThermalPolicy*>,
-              "Governor* must never convert to ThermalPolicy*");
 
 /// Explicit arbitration over core::DimetrodonController's global duty cycle.
 ///
 /// Without this, any two writers — the preventive baseline configured by an
-/// operator, a closed-loop governor, the power-capping PI loop — would race
+/// operator, a closed-loop governor, a power-cap governor — would race
 /// on sys_set_global and the *last* writer would win, which is a bug: the
 /// paper's preventive floor would vanish the moment a power cap ticked, and
 /// a governor's trip would be undone by the next cap update.
@@ -50,7 +31,7 @@ class InjectionArbiter {
   enum class Channel : std::uint8_t {
     kPreventive = 0,  // operator-configured open-loop baseline
     kGovernor = 1,    // closed-loop thermal governor
-    kPowerCap = 2,    // power-budget PI loop
+    kPowerCap = 2,    // power-cap governor (GovernorKind::kPowerCap)
   };
   static constexpr std::size_t kNumChannels = 3;
 

@@ -7,18 +7,27 @@ namespace dimetrodon::control {
 
 namespace {
 
-// Validate before claiming: a constructor that throws after claiming would
-// leave the kGovernor channel permanently held on its arbiter.
-InjectionArbiter::Port& claim_governor_channel(InjectionArbiter& arbiter,
-                                               const GovernorSpec& spec) {
+void validate(const GovernorSpec& spec) {
   if (!spec.enabled()) {
     throw std::invalid_argument("GovernorDriver needs an enabled GovernorSpec");
   }
   if (spec.sample_period <= 0) {
     throw std::invalid_argument("governor sample period must be positive");
   }
-  return arbiter.claim(InjectionArbiter::Channel::kGovernor,
-                       governor_label(spec));
+}
+
+InjectionArbiter::Channel channel_for(const GovernorSpec& spec) {
+  return spec.kind == GovernorKind::kPowerCap
+             ? InjectionArbiter::Channel::kPowerCap
+             : InjectionArbiter::Channel::kGovernor;
+}
+
+// Validate before claiming: a constructor that throws after claiming would
+// leave the channel permanently held on its arbiter.
+InjectionArbiter::Port& claim_channel(InjectionArbiter& arbiter,
+                                      const GovernorSpec& spec) {
+  validate(spec);
+  return arbiter.claim(channel_for(spec), governor_label(spec));
 }
 
 }  // namespace
@@ -26,19 +35,22 @@ InjectionArbiter::Port& claim_governor_channel(InjectionArbiter& arbiter,
 GovernorDriver::GovernorDriver(sched::Machine& machine,
                                InjectionArbiter& arbiter, GovernorSpec spec)
     : machine_(machine),
-      port_(claim_governor_channel(arbiter, spec)),
+      channel_(channel_for(spec)),
+      port_(claim_channel(arbiter, spec)),
       spec_(spec),
       governor_(make_governor(spec)),
-      stability_(governor_reference_c(spec), spec.stability_band_c) {
+      stability_(governor_reference_c(spec), spec.stability_band_c),
+      last_sample_at_(machine.now()),
+      last_energy_j_(machine.energy().total_joules()) {
   schedule_sample();
 }
 
 void GovernorDriver::retune(const GovernorSpec& spec) {
-  if (!spec.enabled()) {
-    throw std::invalid_argument("retune needs an enabled GovernorSpec");
-  }
-  if (spec.sample_period <= 0) {
-    throw std::invalid_argument("governor sample period must be positive");
+  validate(spec);
+  if (channel_for(spec) != channel_) {
+    throw std::invalid_argument(
+        "retune cannot move a loop between the governor and power-cap "
+        "channels");
   }
   spec_ = spec;
   governor_ = make_governor(spec);
@@ -79,6 +91,11 @@ void GovernorDriver::sample(sim::SimTime now) {
     }
   }
   frame.mean_c = phys_cores > 0 ? sum / static_cast<double>(phys_cores) : 0.0;
+  const double energy_j = machine_.energy().total_joules();
+  if (now > last_sample_at_) {
+    frame.package_w =
+        (energy_j - last_energy_j_) / sim::to_sec(now - last_sample_at_);
+  }
 
   const double duty = governor_->update(frame);
   const bool tripped = governor_->tripped();
@@ -106,17 +123,19 @@ void GovernorDriver::sample(sim::SimTime now) {
                           std::signbit(delta) != std::signbit(last_duty_delta_);
     ++stats_.duty_changes;
     if (reversal) ++stats_.duty_reversals;
-    tracer.duty_change(
-        now, static_cast<std::uint32_t>(InjectionArbiter::Channel::kGovernor),
-        duty, reversal);
+    tracer.duty_change(now, static_cast<std::uint32_t>(channel_), duty,
+                       reversal);
     last_duty_delta_ = delta;
     last_duty_ = duty;
     port_.request(duty, spec_.quantum);
   }
 
-  stability_.on_sample(now, frame.max_c, duty);
+  if (channel_ == InjectionArbiter::Channel::kGovernor) {
+    stability_.on_sample(now, frame.max_c, duty);
+  }
   has_last_ = true;
   last_sample_at_ = now;
+  last_energy_j_ = energy_j;
   schedule_sample();
 }
 

@@ -14,6 +14,21 @@ std::string fmt(const char* format, double a, double b, double c) {
   return buf;
 }
 
+// The one PI step every integrating governor runs: kp·e + ki·∫e + `bias`,
+// clamped to [lo, hi], with conditional-integration anti-windup — the
+// integral takes this step's e·dt only while the unclamped output is inside
+// the limits, or the error pushes it back toward them. Updates `integral`
+// and returns the clamped output.
+double pi_step(double& integral, double error, double dt, double kp,
+               double ki, double bias, double lo, double hi) {
+  const double candidate = integral + error * dt;
+  const double unclamped = kp * error + ki * candidate + bias;
+  if ((unclamped < hi || error < 0.0) && (unclamped > lo || error > 0.0)) {
+    integral = candidate;
+  }
+  return std::clamp(kp * error + ki * integral + bias, lo, hi);
+}
+
 }  // namespace
 
 // --- hysteresis -------------------------------------------------------------
@@ -65,20 +80,9 @@ double PidGovernor::update(const SensorFrame& frame) {
   last_measurement_ = frame.max_c;
   has_last_ = true;
 
-  // Conditional integration (anti-windup): only integrate when the
-  // unclamped output is inside the limits, or the error pushes back toward
-  // them. Mirrors core::PowerCapController's PI loop.
-  const double candidate = integral_ + error * dt;
-  const double unclamped =
-      config_.kp * error + config_.ki * candidate + config_.kd * derivative;
-  if ((unclamped < config_.max_probability || error < 0.0) &&
-      (unclamped > config_.min_probability || error > 0.0)) {
-    integral_ = candidate;
-  }
-
-  const double u =
-      config_.kp * error + config_.ki * integral_ + config_.kd * derivative;
-  return std::clamp(u, config_.min_probability, config_.max_probability);
+  return pi_step(integral_, error, dt, config_.kp, config_.ki,
+                 config_.kd * derivative, config_.min_probability,
+                 config_.max_probability);
 }
 
 void PidGovernor::reset() {
@@ -99,16 +103,8 @@ std::string HybridGovernor::name() const { return "hybrid"; }
 
 double HybridGovernor::update(const SensorFrame& frame) {
   const double error = frame.max_c - config_.setpoint_c;
-  const double dt = frame.dt_s;
-
-  const double candidate = integral_ + error * dt;
-  const double unclamped = config_.kp * error + config_.ki * candidate;
-  if ((unclamped < config_.max_delta || error < 0.0) &&
-      (unclamped > -config_.max_delta || error > 0.0)) {
-    integral_ = candidate;
-  }
-  trim_ = std::clamp(config_.kp * error + config_.ki * integral_,
-                     -config_.max_delta, config_.max_delta);
+  trim_ = pi_step(integral_, error, frame.dt_s, config_.kp, config_.ki, 0.0,
+                  -config_.max_delta, config_.max_delta);
   return std::clamp(config_.baseline_probability + trim_, 0.0,
                     config_.max_probability);
 }
@@ -116,6 +112,28 @@ double HybridGovernor::update(const SensorFrame& frame) {
 void HybridGovernor::reset() {
   integral_ = 0.0;
   trim_ = 0.0;
+}
+
+// --- power cap --------------------------------------------------------------
+
+PowerCapGovernor::PowerCapGovernor(PowerCapConfig config) : config_(config) {
+  if (config_.max_probability < 0.0) {
+    throw std::invalid_argument("power-cap probability ceiling must be >= 0");
+  }
+}
+
+std::string PowerCapGovernor::name() const { return "power-cap"; }
+
+double PowerCapGovernor::update(const SensorFrame& frame) {
+  // Positive error = over budget = inject more.
+  last_power_w_ = frame.package_w;
+  return pi_step(integral_, frame.package_w - config_.cap_w, frame.dt_s,
+                 config_.kp, config_.ki, 0.0, 0.0, config_.max_probability);
+}
+
+void PowerCapGovernor::reset() {
+  integral_ = 0.0;
+  last_power_w_ = 0.0;
 }
 
 // --- spec -------------------------------------------------------------------
@@ -130,6 +148,8 @@ std::unique_ptr<Governor> make_governor(const GovernorSpec& spec) {
       return std::make_unique<PidGovernor>(spec.pid);
     case GovernorKind::kHybrid:
       return std::make_unique<HybridGovernor>(spec.hybrid);
+    case GovernorKind::kPowerCap:
+      return std::make_unique<PowerCapGovernor>(spec.power_cap);
   }
   throw std::logic_error("unknown GovernorKind");
 }
@@ -156,6 +176,9 @@ std::string governor_label(const GovernorSpec& spec) {
       return fmt("hybrid[p=%.2f,set=%.0f,kp=%.2f]",
                  spec.hybrid.baseline_probability, spec.hybrid.setpoint_c,
                  spec.hybrid.kp);
+    case GovernorKind::kPowerCap:
+      return fmt("power-cap[cap=%.0fW,kp=%.2f,ki=%.2f]", spec.power_cap.cap_w,
+                 spec.power_cap.kp, spec.power_cap.ki);
   }
   return "governor?";
 }
@@ -163,6 +186,7 @@ std::string governor_label(const GovernorSpec& spec) {
 double governor_reference_c(const GovernorSpec& spec) {
   switch (spec.kind) {
     case GovernorKind::kNone:
+    case GovernorKind::kPowerCap:
       return 0.0;
     case GovernorKind::kHysteresis:
       return spec.hysteresis.trip_c;
@@ -196,6 +220,12 @@ void append_canonical_governor(sim::CanonWriter& w, const GovernorSpec& spec) {
   w.field("hy.ki", spec.hybrid.ki);
   w.field("hy.delta", spec.hybrid.max_delta);
   w.field("hy.max", spec.hybrid.max_probability);
+  if (spec.kind == GovernorKind::kPowerCap) {
+    w.field("pc.cap", spec.power_cap.cap_w);
+    w.field("pc.kp", spec.power_cap.kp);
+    w.field("pc.ki", spec.power_cap.ki);
+    w.field("pc.max", spec.power_cap.max_probability);
+  }
   w.close();
 }
 

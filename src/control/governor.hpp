@@ -22,6 +22,10 @@ struct SensorFrame {
   double max_c = 0.0;            // hottest quantized reading
   double mean_c = 0.0;           // mean of the quantized readings
   std::size_t hottest_core = 0;  // index of the hottest reading
+  /// Mean package power since the previous frame (or since the driver
+  /// started): the energy-account delta over the elapsed time, the
+  /// RAPL-style counter real hardware exposes.
+  double package_w = 0.0;
 };
 
 /// A closed-loop thermal governor: maps the quantized sensor frame sampled at
@@ -30,11 +34,10 @@ struct SensorFrame {
 /// clock reads — so a governed run stays a deterministic function of its
 /// configuration.
 ///
-/// Governors deliberately do NOT implement policy::ThermalPolicy: a
-/// ThermalPolicy is a static pre-run actuation of hardware knobs, a Governor
-/// is a feedback loop over the injection duty cycle. The two compose (a
-/// static DVFS/TCC setpoint under a governed injection loop); they must never
-/// compete for the same knob — see control::InjectionArbiter.
+/// A governor is a feedback loop over the injection duty cycle only; the
+/// static hardware actuations (DVFS, TCC) are harness::ActuationSpec kinds
+/// that set their knobs once before the run. The two compose, and every
+/// duty writer goes through control::InjectionArbiter.
 class Governor {
  public:
   virtual ~Governor() = default;
@@ -148,6 +151,37 @@ class HybridGovernor final : public Governor {
   double trim_ = 0.0;
 };
 
+/// Power capping via forced idleness (Gandhi et al., cited in §4; Linux
+/// later landed the same mechanism as idle injection): a PI loop on the
+/// injection duty holds the frame's mean package power at `cap_w`. The
+/// paper's remark that "rearchitecting the power-capping mechanism to use
+/// shorter idle quanta would provide thermally-beneficial side-effects" is
+/// the GovernorSpec quantum.
+struct PowerCapConfig {
+  double cap_w = 50.0;
+  double kp = 0.01;              // duty per watt
+  double ki = 0.02;              // duty per (watt * second)
+  double max_probability = 0.95;
+};
+
+class PowerCapGovernor final : public Governor {
+ public:
+  explicit PowerCapGovernor(PowerCapConfig config);
+
+  std::string name() const override;
+  double update(const SensorFrame& frame) override;
+  void reset() override;
+
+  const PowerCapConfig& config() const { return config_; }
+  /// Package power of the last frame (the loop's measurement).
+  double last_power_w() const { return last_power_w_; }
+
+ private:
+  PowerCapConfig config_;
+  double integral_ = 0.0;
+  double last_power_w_ = 0.0;
+};
+
 /// Declarative, hashable description of a governed control loop — the data
 /// half that sweep cache keys, cluster NodeSpecs and harness actuations all
 /// share. kNone means "no governor" (open-loop node).
@@ -156,6 +190,7 @@ enum class GovernorKind : std::uint8_t {
   kHysteresis = 1,
   kPid = 2,
   kHybrid = 3,
+  kPowerCap = 4,
 };
 
 struct GovernorSpec {
@@ -171,6 +206,7 @@ struct GovernorSpec {
   HysteresisConfig hysteresis{};
   PidConfig pid{};
   HybridConfig hybrid{};
+  PowerCapConfig power_cap{};
 
   bool enabled() const { return kind != GovernorKind::kNone; }
 };
@@ -182,14 +218,17 @@ std::unique_ptr<Governor> make_governor(const GovernorSpec& spec);
 std::string governor_label(const GovernorSpec& spec);
 
 /// Reference temperature the stability metrics measure against (trip point
-/// for hysteresis, setpoint for pid/hybrid, 0 for kNone).
+/// for hysteresis, setpoint for pid/hybrid). kNone and kPowerCap have none
+/// and return 0: a power loop regulates watts, so its driver records no
+/// temperature stability series.
 double governor_reference_c(const GovernorSpec& spec);
 
 /// Append the spec's canonical "gov{...}" fragment (hex-float doubles,
 /// stable field order) — the fragment cluster tags and runner cache keys
 /// embed, rendered through the one shared sim::CanonWriter. Every behavioral
 /// field must appear here: two specs with equal canonical text must drive
-/// identical control loops.
+/// identical control loops. The power-cap fields render only for kPowerCap,
+/// which keeps every other kind's existing cache keys valid.
 void append_canonical_governor(sim::CanonWriter& w, const GovernorSpec& spec);
 
 }  // namespace dimetrodon::control

@@ -10,88 +10,79 @@
 
 namespace dimetrodon::harness {
 
-namespace actuation {
-
-ActuationSetup none() {
-  return ActuationSetup{"race-to-idle",
-                        [](sched::Machine&) { return nullptr; }};
-}
-
-ActuationSetup dimetrodon(double probability, sim::SimTime quantum) {
-  return ActuationSetup{
-      trace::fmt("dimetrodon[p=%.2f,L=%.0fms]", probability,
-                 sim::to_ms(quantum)),
-      [probability, quantum](sched::Machine& m) {
-        auto ctl = std::make_shared<core::DimetrodonController>(m);
-        ctl->sys_set_global(probability, quantum);
-        return ctl;
-      }};
-}
-
-ActuationSetup dimetrodon_stratified(double probability,
-                                     sim::SimTime quantum) {
-  return ActuationSetup{
-      trace::fmt("dimetrodon-det[p=%.2f,L=%.0fms]", probability,
-                 sim::to_ms(quantum)),
-      [probability, quantum](sched::Machine& m) {
-        auto ctl = std::make_shared<core::DimetrodonController>(
-            m, std::make_unique<core::StratifiedInjection>());
-        ctl->sys_set_global(probability, quantum);
-        return ctl;
-      }};
-}
-
-ActuationSetup vfs(std::size_t level) {
-  return ActuationSetup{trace::fmt("vfs[level=%zu]", level),
-                        [level](sched::Machine& m) {
-                          m.set_all_dvfs_levels(level);
-                          return nullptr;
-                        }};
-}
-
-ActuationSetup tcc(std::size_t duty_step) {
-  return ActuationSetup{trace::fmt("p4tcc[step=%zu]", duty_step),
-                        [duty_step](sched::Machine& m) {
-                          m.set_all_clock_duty_steps(duty_step);
-                          return nullptr;
-                        }};
-}
-
-ActuationSetup governed(control::GovernorSpec spec, double preventive_p,
-                        sim::SimTime preventive_quantum) {
-  // The harness holds only a shared_ptr<DimetrodonController>; the arbiter
-  // and driver ride along via the aliasing constructor so the whole control
-  // loop shares one lifetime.
-  struct Bundle {
-    std::shared_ptr<core::DimetrodonController> controller;
-    std::unique_ptr<control::InjectionArbiter> arbiter;
-    std::unique_ptr<control::GovernorDriver> driver;
-  };
-  std::string label = control::governor_label(spec);
-  if (preventive_p > 0.0) {
-    label += trace::fmt("+base=%.2f", preventive_p);
+std::shared_ptr<core::DimetrodonController> ActuationSpec::apply(
+    sched::Machine& machine) const {
+  switch (kind) {
+    case Kind::kNone:
+      return nullptr;
+    case Kind::kGlobal: {
+      auto ctl = std::make_shared<core::DimetrodonController>(machine);
+      ctl->sys_set_global(probability, quantum);
+      return ctl;
+    }
+    case Kind::kGlobalStratified: {
+      auto ctl = std::make_shared<core::DimetrodonController>(
+          machine, std::make_unique<core::StratifiedInjection>());
+      ctl->sys_set_global(probability, quantum);
+      return ctl;
+    }
+    case Kind::kVfs:
+      machine.set_all_dvfs_levels(level);
+      return nullptr;
+    case Kind::kTcc:
+      machine.set_all_clock_duty_steps(level);
+      return nullptr;
+    case Kind::kGovernor: {
+      // The harness holds only a shared_ptr<DimetrodonController>; the
+      // arbiter and driver ride along via the aliasing constructor so the
+      // whole control loop shares one lifetime.
+      struct Bundle {
+        std::shared_ptr<core::DimetrodonController> controller;
+        std::unique_ptr<control::InjectionArbiter> arbiter;
+        std::unique_ptr<control::GovernorDriver> driver;
+      };
+      auto bundle = std::make_shared<Bundle>();
+      bundle->controller =
+          std::make_shared<core::DimetrodonController>(machine);
+      bundle->arbiter =
+          std::make_unique<control::InjectionArbiter>(*bundle->controller);
+      if (probability > 0.0) {
+        bundle->arbiter
+            ->claim(control::InjectionArbiter::Channel::kPreventive,
+                    "preventive")
+            .request(probability, quantum);
+      }
+      bundle->driver = std::make_unique<control::GovernorDriver>(
+          machine, *bundle->arbiter, governor);
+      return std::shared_ptr<core::DimetrodonController>(
+          bundle, bundle->controller.get());
+    }
   }
-  return ActuationSetup{
-      std::move(label),
-      [spec, preventive_p, preventive_quantum](sched::Machine& m) {
-        auto bundle = std::make_shared<Bundle>();
-        bundle->controller = std::make_shared<core::DimetrodonController>(m);
-        bundle->arbiter =
-            std::make_unique<control::InjectionArbiter>(*bundle->controller);
-        if (preventive_p > 0.0) {
-          bundle->arbiter
-              ->claim(control::InjectionArbiter::Channel::kPreventive,
-                      "preventive")
-              .request(preventive_p, preventive_quantum);
-        }
-        bundle->driver = std::make_unique<control::GovernorDriver>(
-            m, *bundle->arbiter, spec);
-        return std::shared_ptr<core::DimetrodonController>(
-            bundle, bundle->controller.get());
-      }};
+  throw std::logic_error("unknown ActuationSpec::Kind");
 }
 
-}  // namespace actuation
+std::string ActuationSpec::label() const {
+  switch (kind) {
+    case Kind::kNone:
+      return "race-to-idle";
+    case Kind::kGlobal:
+      return trace::fmt("dimetrodon[p=%.2f,L=%.0fms]", probability,
+                        sim::to_ms(quantum));
+    case Kind::kGlobalStratified:
+      return trace::fmt("dimetrodon-det[p=%.2f,L=%.0fms]", probability,
+                        sim::to_ms(quantum));
+    case Kind::kVfs:
+      return trace::fmt("vfs[level=%zu]", level);
+    case Kind::kTcc:
+      return trace::fmt("p4tcc[step=%zu]", level);
+    case Kind::kGovernor: {
+      std::string out = control::governor_label(governor);
+      if (probability > 0.0) out += trace::fmt("+base=%.2f", probability);
+      return out;
+    }
+  }
+  throw std::logic_error("unknown ActuationSpec::Kind");
+}
 
 Tradeoff compute_tradeoff(const RunResult& baseline, const RunResult& run) {
   Tradeoff t;
@@ -141,7 +132,7 @@ double ExperimentRunner::mean_exact_temp(const sched::Machine& m) const {
 }
 
 RunResult ExperimentRunner::measure(const WorkloadFactory& factory,
-                                    const ActuationSetup& actuation,
+                                    const ActuationSpec& actuation,
                                     const PostDeployHook& post_deploy) {
   // Phase bookkeeping for MeasurementError: updated as the run progresses so
   // a throw anywhere below reports the stage it died in.
@@ -152,11 +143,11 @@ RunResult ExperimentRunner::measure(const WorkloadFactory& factory,
   sched::Machine machine(cfg);
 
   RunResult result;
-  result.label = actuation.label;
+  result.label = actuation.label();
   result.idle_sensor_temp_c = machine.mean_sensor_temp();
   result.idle_exact_temp_c = mean_exact_temp(machine);
 
-  auto controller = actuation.configure(machine);
+  auto controller = actuation.apply(machine);
   auto wl = factory();
   wl->deploy(machine);
   if (post_deploy) post_deploy(machine, *wl, controller.get());
@@ -253,20 +244,20 @@ sched::MachineSnapshot ExperimentRunner::build_warmup_snapshot(
 }
 
 RunResult ExperimentRunner::measure_warm(const WorkloadFactory& factory,
-                                         const ActuationSetup& actuation,
+                                         const ActuationSpec& actuation,
                                          const sched::MachineSnapshot& snap,
                                          const PostDeployHook& post_deploy) {
   return measure_warm_impl(factory, actuation, &snap, 0, post_deploy);
 }
 
 RunResult ExperimentRunner::measure_after_warmup(
-    const WorkloadFactory& factory, const ActuationSetup& actuation,
+    const WorkloadFactory& factory, const ActuationSpec& actuation,
     sim::SimTime warmup, const PostDeployHook& post_deploy) {
   return measure_warm_impl(factory, actuation, nullptr, warmup, post_deploy);
 }
 
 RunResult ExperimentRunner::measure_warm_impl(
-    const WorkloadFactory& factory, const ActuationSetup& actuation,
+    const WorkloadFactory& factory, const ActuationSpec& actuation,
     const sched::MachineSnapshot* snap, sim::SimTime warmup,
     const PostDeployHook& post_deploy) {
   const char* phase = "setup";
@@ -276,7 +267,7 @@ RunResult ExperimentRunner::measure_warm_impl(
     sched::Machine machine(cfg);
 
     RunResult result;
-    result.label = actuation.label;
+    result.label = actuation.label();
     result.idle_sensor_temp_c = machine.mean_sensor_temp();
     result.idle_exact_temp_c = mean_exact_temp(machine);
 
@@ -294,7 +285,7 @@ RunResult ExperimentRunner::measure_warm_impl(
     }
 
     phase = "actuate";
-    auto controller = actuation.configure(machine);
+    auto controller = actuation.apply(machine);
     if (post_deploy) post_deploy(machine, *wl, controller.get());
 
     return finish_measurement(machine, *wl, controller, std::move(result),
@@ -307,14 +298,14 @@ RunResult ExperimentRunner::measure_warm_impl(
 }
 
 WindowResult ExperimentRunner::run_to_completion(
-    const WorkloadFactory& factory, const ActuationSetup& actuation,
+    const WorkloadFactory& factory, const ActuationSpec& actuation,
     sim::SimTime deadline, const PostDeployHook& post_deploy) {
   const char* phase = "setup";
   try {
   sched::MachineConfig cfg = base_;
   cfg.enable_meter = true;
   sched::Machine machine(cfg);
-  auto controller = actuation.configure(machine);
+  auto controller = actuation.apply(machine);
   auto wl = factory();
   wl->deploy(machine);
   if (post_deploy) post_deploy(machine, *wl, controller.get());
@@ -345,7 +336,7 @@ WindowResult ExperimentRunner::run_to_completion(
 }
 
 WindowResult ExperimentRunner::run_window(const WorkloadFactory& factory,
-                                          const ActuationSetup& actuation,
+                                          const ActuationSpec& actuation,
                                           sim::SimTime window,
                                           const PostDeployHook& post_deploy) {
   const char* phase = "setup";
@@ -353,7 +344,7 @@ WindowResult ExperimentRunner::run_window(const WorkloadFactory& factory,
   sched::MachineConfig cfg = base_;
   cfg.enable_meter = true;
   sched::Machine machine(cfg);
-  auto controller = actuation.configure(machine);
+  auto controller = actuation.apply(machine);
   auto wl = factory();
   wl->deploy(machine);
   if (post_deploy) post_deploy(machine, *wl, controller.get());

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -30,40 +31,73 @@ struct MeasurementConfig {
   sim::SimTime sensor_poll = sim::from_ms(500);
 };
 
-/// How a run is thermally actuated: configures the machine (and possibly
-/// attaches a Dimetrodon controller) before the workload deploys.
-struct ActuationSetup {
-  std::string label;
-  std::function<std::shared_ptr<core::DimetrodonController>(sched::Machine&)>
-      configure;  // may return nullptr (hardware-only actuations)
+/// The actuation catalogue: how a run is thermally actuated — every baseline
+/// technique and the Dimetrodon configurations from the paper's
+/// comparisons, as one declarative, hashable value. The sweep engine hashes
+/// the fields into cache keys (runner::canonical_spec); apply() configures a
+/// machine before the workload deploys. Labels are stable identifiers
+/// consumed by CSV output and tests.
+struct ActuationSpec {
+  /// The numbering is part of cached run-spec keys; append, never reorder.
+  enum class Kind : std::uint8_t {
+    kNone,              // race-to-idle baseline
+    kGlobal,            // Dimetrodon global Bernoulli policy
+    kGlobalStratified,  // deterministic (stratified) injection
+    kVfs,               // static DVFS ladder setpoint
+    kTcc,               // static p4tcc clock-duty setpoint
+    kGovernor,          // closed-loop governed injection (src/control)
+  };
+
+  Kind kind = Kind::kNone;
+  double probability = 0.0;   // kGlobal / kGlobalStratified; for kGovernor,
+                              // the preventive-channel floor duty (0 = none)
+  sim::SimTime quantum = 0;   // kGlobal / kGlobalStratified / kGovernor floor
+  std::size_t level = 0;      // kVfs ladder index / kTcc duty step
+  control::GovernorSpec governor{};  // kGovernor only
+
+  /// Unconstrained baseline ("race-to-idle").
+  static ActuationSpec none() { return {}; }
+  /// Global Dimetrodon policy with the paper's Bernoulli injection.
+  static ActuationSpec global(double p, sim::SimTime quantum) {
+    return {Kind::kGlobal, p, quantum, 0};
+  }
+  /// Global Dimetrodon policy with deterministic (stratified) injection.
+  static ActuationSpec global_stratified(double p, sim::SimTime quantum) {
+    return {Kind::kGlobalStratified, p, quantum, 0};
+  }
+  /// Static DVFS setpoint (ladder index).
+  static ActuationSpec vfs(std::size_t level) {
+    return {Kind::kVfs, 0.0, 0, level};
+  }
+  /// Static p4tcc clock-duty setpoint (step 1..8).
+  static ActuationSpec tcc(std::size_t duty_step) {
+    return {Kind::kTcc, 0.0, 0, duty_step};
+  }
+  /// Closed-loop governed injection: a Dimetrodon controller behind an
+  /// InjectionArbiter, with a GovernorDriver running `spec`.
+  /// `preventive_p > 0` also engages the arbiter's open-loop preventive
+  /// channel at that duty, so the governor can only raise the resolved duty
+  /// above the preventive floor (max-probability-wins).
+  static ActuationSpec governed(control::GovernorSpec spec,
+                                double preventive_p = 0.0,
+                                sim::SimTime preventive_quantum =
+                                    sim::from_ms(100)) {
+    ActuationSpec a;
+    a.kind = Kind::kGovernor;
+    a.probability = preventive_p;
+    a.quantum = preventive_quantum;
+    a.governor = spec;
+    return a;
+  }
+
+  /// Configure `machine` for this actuation. Returns the attached Dimetrodon
+  /// controller, or nullptr for the hardware-only kinds. For kGovernor the
+  /// returned pointer also keeps the arbiter and driver alive for as long
+  /// as the caller holds it.
+  std::shared_ptr<core::DimetrodonController> apply(
+      sched::Machine& machine) const;
+  std::string label() const;
 };
-
-/// The actuation catalogue: every baseline technique and the Dimetrodon
-/// configurations from the paper's comparisons, under one namespace.
-/// (Labels are stable identifiers consumed by CSV output and tests.)
-namespace actuation {
-
-/// Unconstrained baseline ("race-to-idle").
-ActuationSetup none();
-/// Global Dimetrodon policy with the paper's Bernoulli injection.
-ActuationSetup dimetrodon(double probability, sim::SimTime quantum);
-/// Global Dimetrodon policy with deterministic (stratified) injection.
-ActuationSetup dimetrodon_stratified(double probability, sim::SimTime quantum);
-/// Static DVFS setpoint (ladder index).
-ActuationSetup vfs(std::size_t level);
-/// Static p4tcc clock-duty setpoint (step 1..8).
-ActuationSetup tcc(std::size_t duty_step);
-/// Closed-loop governed injection (src/control): a Dimetrodon controller
-/// behind an InjectionArbiter, with the spec'd governor sampling the
-/// machine's quantized sensors. `preventive_p > 0` additionally engages the
-/// arbiter's open-loop preventive channel at that duty, so the governor can
-/// only raise the resolved duty above the preventive floor
-/// (max-probability-wins). The returned controller keeps the arbiter and
-/// driver alive for as long as the harness holds it.
-ActuationSetup governed(control::GovernorSpec spec, double preventive_p = 0.0,
-                        sim::SimTime preventive_quantum = sim::from_ms(100));
-
-}  // namespace actuation
 
 /// Outcome of one steady-state measured run.
 struct RunResult {
@@ -149,7 +183,7 @@ class ExperimentRunner {
 
   /// Steady-state measured run (temperature/throughput experiments).
   RunResult measure(const WorkloadFactory& factory,
-                    const ActuationSetup& actuation,
+                    const ActuationSpec& actuation,
                     const PostDeployHook& post_deploy = {});
 
   // --- warm-start (shared warmup prefix via machine snapshots) -------------
@@ -166,7 +200,7 @@ class ExperimentRunner {
   /// standard settle + measure-window methodology. Bit-identical to
   /// measure_after_warmup with the same arguments (fork ≡ replay).
   RunResult measure_warm(const WorkloadFactory& factory,
-                         const ActuationSetup& actuation,
+                         const ActuationSpec& actuation,
                          const sched::MachineSnapshot& snap,
                          const PostDeployHook& post_deploy = {});
 
@@ -174,20 +208,20 @@ class ExperimentRunner {
   /// measure_warm except the warmup prefix is re-simulated inline instead of
   /// restored from a snapshot.
   RunResult measure_after_warmup(const WorkloadFactory& factory,
-                                 const ActuationSetup& actuation,
+                                 const ActuationSpec& actuation,
                                  sim::SimTime warmup,
                                  const PostDeployHook& post_deploy = {});
 
   /// Run a finite workload to completion (bounded by `deadline`); meter on.
   WindowResult run_to_completion(const WorkloadFactory& factory,
-                                 const ActuationSetup& actuation,
+                                 const ActuationSpec& actuation,
                                  sim::SimTime deadline,
                                  const PostDeployHook& post_deploy = {});
 
   /// Run for a fixed wall-clock window (the race-to-idle side of the energy
   /// comparison); meter on.
   WindowResult run_window(const WorkloadFactory& factory,
-                          const ActuationSetup& actuation, sim::SimTime window,
+                          const ActuationSpec& actuation, sim::SimTime window,
                           const PostDeployHook& post_deploy = {});
 
   const sched::MachineConfig& base_config() const { return base_; }
@@ -203,7 +237,7 @@ class ExperimentRunner {
       const std::shared_ptr<core::DimetrodonController>& controller,
       RunResult result, const char*& phase);
   RunResult measure_warm_impl(const WorkloadFactory& factory,
-                              const ActuationSetup& actuation,
+                              const ActuationSpec& actuation,
                               const sched::MachineSnapshot* snap,
                               sim::SimTime warmup,
                               const PostDeployHook& post_deploy);

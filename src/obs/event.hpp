@@ -112,7 +112,7 @@ enum class CStatePhase : std::uint8_t {
 ///                      in ppm, value = hottest quantized temperature (C)
 ///   kGovernorTrip:     core = hottest physical core, arg = 1 trip /
 ///                      0 release, value = quantized temperature (C)
-///   kDutyChange:       arg = winning arbiter channel, value = new duty p
+///   kDutyChange:       arg = requesting arbiter channel, value = new duty p
 ///   kRequestShed:      tid = request id (no routable node existed)
 ///   kNodeJoin:         core = node index, arg = 1 warm (snapshot fork) /
 ///                      0 cold, value = warmup span (s)

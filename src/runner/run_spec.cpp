@@ -73,24 +73,6 @@ void append_machine(sim::CanonWriter& w, const sched::MachineConfig& m) {
 
 }  // namespace
 
-harness::ActuationSetup ActuationSpec::to_setup() const {
-  switch (kind) {
-    case Kind::kNone:
-      return harness::actuation::none();
-    case Kind::kGlobal:
-      return harness::actuation::dimetrodon(probability, quantum);
-    case Kind::kGlobalStratified:
-      return harness::actuation::dimetrodon_stratified(probability, quantum);
-    case Kind::kVfs:
-      return harness::actuation::vfs(level);
-    case Kind::kTcc:
-      return harness::actuation::tcc(level);
-    case Kind::kGovernor:
-      return harness::actuation::governed(governor, probability, quantum);
-  }
-  throw std::logic_error("unknown ActuationSpec::Kind");
-}
-
 double RunRecord::metric(const std::string& key) const {
   for (const auto& [k, v] : extra) {
     if (k == key) return v;

@@ -34,57 +34,9 @@ struct RunContext {
   std::size_t lanes_hint = 0;
 };
 
-/// Declarative, hashable counterpart of harness::ActuationSetup. The sweep
-/// engine needs actuations as *data* (they feed the cache key), so the
-/// closure is built on demand via `to_setup()` from the same constructors the
-/// serial benches used — labels and behaviour are identical.
-struct ActuationSpec {
-  enum class Kind : std::uint8_t {
-    kNone,              // race-to-idle baseline
-    kGlobal,            // Dimetrodon global Bernoulli policy
-    kGlobalStratified,  // deterministic (stratified) injection
-    kVfs,               // static DVFS ladder setpoint
-    kTcc,               // static p4tcc clock-duty setpoint
-    kGovernor,          // closed-loop governed injection (src/control)
-  };
-
-  Kind kind = Kind::kNone;
-  double probability = 0.0;   // kGlobal / kGlobalStratified; for kGovernor,
-                              // the preventive-channel floor duty (0 = none)
-  sim::SimTime quantum = 0;   // kGlobal / kGlobalStratified / kGovernor floor
-  std::size_t level = 0;      // kVfs ladder index / kTcc duty step
-  control::GovernorSpec governor{};  // kGovernor only
-
-  static ActuationSpec none() { return {}; }
-  static ActuationSpec global(double p, sim::SimTime quantum) {
-    return {Kind::kGlobal, p, quantum, 0};
-  }
-  static ActuationSpec global_stratified(double p, sim::SimTime quantum) {
-    return {Kind::kGlobalStratified, p, quantum, 0};
-  }
-  static ActuationSpec vfs(std::size_t level) {
-    return {Kind::kVfs, 0.0, 0, level};
-  }
-  static ActuationSpec tcc(std::size_t duty_step) {
-    return {Kind::kTcc, 0.0, 0, duty_step};
-  }
-  /// Governed injection; `preventive_p > 0` also engages the arbiter's
-  /// open-loop preventive channel as a duty floor (hybrid deployments).
-  static ActuationSpec governed(control::GovernorSpec spec,
-                                double preventive_p = 0.0,
-                                sim::SimTime preventive_quantum =
-                                    sim::from_ms(100)) {
-    ActuationSpec a;
-    a.kind = Kind::kGovernor;
-    a.probability = preventive_p;
-    a.quantum = preventive_quantum;
-    a.governor = spec;
-    return a;
-  }
-
-  harness::ActuationSetup to_setup() const;
-  std::string label() const { return to_setup().label; }
-};
+/// The sweep engine's actuations are the harness catalogue's values: their
+/// fields feed the cache key (canonical_spec) and apply() runs them.
+using harness::ActuationSpec;
 
 /// Structured capture of one failed run: what threw, which grid point, and
 /// how hard the engine tried. Failure is data, not death — a sweep with a

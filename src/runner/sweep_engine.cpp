@@ -151,11 +151,10 @@ RunRecord SweepEngine::execute(const RunSpec& spec,
       snap = std::make_shared<const sched::MachineSnapshot>(build());
       if (snapshot_built != nullptr) *snapshot_built = true;
     }
-    rec.result =
-        runner.measure_warm(spec.workload, spec.actuation.to_setup(), *snap);
+    rec.result = runner.measure_warm(spec.workload, spec.actuation, *snap);
     return rec;
   }
-  rec.result = runner.measure(spec.workload, spec.actuation.to_setup());
+  rec.result = runner.measure(spec.workload, spec.actuation);
   return rec;
 }
 

@@ -439,29 +439,6 @@ void Machine::wake_thread(ThreadId id) {
   make_runnable(t);
 }
 
-void Machine::set_thread_affinity(ThreadId id, CoreId target) {
-  Thread& t = *threads_.at(id);
-  if (target != kNoCore && target >= cores_.size()) {
-    throw std::out_of_range("affinity target out of range");
-  }
-  t.set_affinity(target);
-  if (t.state() == ThreadState::kRunning && target != kNoCore &&
-      t.last_core() != target) {
-    // Preempt off the old core; the scheduler re-places it under the new
-    // affinity at the next dispatch, and an idle target picks it up now.
-    Core& old_core = cores_[t.last_core()];
-    if (old_core.current == &t) {
-      advance_thermal(sim_.now());
-      stop_current(old_core, sim_.now());
-      // stop_current re-enqueued it; nudge the target core if it is idle.
-      try_kick_idle_core(t);
-      dispatch(old_core);
-    }
-  } else if (t.state() == ThreadState::kRunnable) {
-    try_kick_idle_core(t);
-  }
-}
-
 void Machine::make_runnable(Thread& t) {
   assert(t.state() != ThreadState::kDone);
   if (t.state() == ThreadState::kSleeping && t.sleep_started_at() >= 0) {

@@ -163,12 +163,6 @@ class Machine {
   /// thread is not sleeping.
   void wake_thread(ThreadId id);
 
-  /// Re-pin a thread to a (logical) CPU, preempting it if it is currently
-  /// running elsewhere — the cheap "migration" primitive that multicore
-  /// thermal-management schemes like Heat-and-Run build on. Pass kNoCore to
-  /// clear the affinity.
-  void set_thread_affinity(ThreadId id, CoreId target);
-
   Thread& thread(ThreadId id) { return *threads_.at(id); }
   const Thread& thread(ThreadId id) const { return *threads_.at(id); }
   std::size_t thread_count() const { return threads_.size(); }

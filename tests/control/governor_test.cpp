@@ -216,6 +216,37 @@ TEST(HybridGovernorTest, NegativeAuthorityThrows) {
   EXPECT_THROW(HybridGovernor{cfg}, std::invalid_argument);
 }
 
+// --- power cap --------------------------------------------------------------
+
+SensorFrame power_frame(double package_w, double dt_s = 0.25) {
+  SensorFrame f = frame(50.0, dt_s);
+  f.package_w = package_w;
+  return f;
+}
+
+TEST(PowerCapGovernorTest, InjectsOnlyOverBudgetAndClampsAtTheCeiling) {
+  PowerCapConfig cfg;
+  cfg.cap_w = 50.0;
+  cfg.max_probability = 0.6;
+  PowerCapGovernor gov(cfg);
+  EXPECT_EQ(gov.update(power_frame(30.0)), 0.0);  // under budget: no duty
+  gov.reset();
+  const double p = gov.update(power_frame(60.0));
+  EXPECT_GT(p, 0.0);
+  EXPECT_EQ(gov.last_power_w(), 60.0);
+  for (int i = 0; i < 200; ++i) gov.update(power_frame(500.0));
+  EXPECT_EQ(gov.update(power_frame(500.0)), 0.6);
+  // Anti-windup: saturated steps did not wind the integral up, so the
+  // first under-budget frame releases the duty at once.
+  EXPECT_EQ(gov.update(power_frame(0.0)), 0.0);
+}
+
+TEST(PowerCapGovernorTest, NegativeCeilingThrows) {
+  PowerCapConfig cfg;
+  cfg.max_probability = -0.1;
+  EXPECT_THROW(PowerCapGovernor{cfg}, std::invalid_argument);
+}
+
 // --- spec / factory ---------------------------------------------------------
 
 TEST(GovernorSpecTest, FactoryMatchesKind) {
@@ -232,6 +263,12 @@ TEST(GovernorSpecTest, FactoryMatchesKind) {
   GovernorSpec hybrid;
   hybrid.kind = GovernorKind::kHybrid;
   EXPECT_EQ(make_governor(hybrid)->name(), "hybrid");
+  GovernorSpec cap;
+  cap.kind = GovernorKind::kPowerCap;
+  cap.power_cap.cap_w = 42.0;
+  const auto gov = make_governor(cap);
+  EXPECT_EQ(gov->name(), "power-cap");
+  EXPECT_EQ(dynamic_cast<const PowerCapGovernor&>(*gov).config().cap_w, 42.0);
 }
 
 TEST(GovernorSpecTest, ReferenceTemperatureTracksTheActiveController) {
@@ -246,6 +283,10 @@ TEST(GovernorSpecTest, ReferenceTemperatureTracksTheActiveController) {
   spec.kind = GovernorKind::kHybrid;
   spec.hybrid.setpoint_c = 58.0;
   EXPECT_EQ(governor_reference_c(spec), 58.0);
+  // A power loop has no temperature reference, whatever its cap.
+  spec.kind = GovernorKind::kPowerCap;
+  spec.power_cap.cap_w = 45.0;
+  EXPECT_EQ(governor_reference_c(spec), 0.0);
 }
 
 TEST(GovernorSpecTest, CanonicalTextDistinguishesEveryBehavioralField) {
@@ -272,6 +313,33 @@ TEST(GovernorSpecTest, CanonicalTextDistinguishesEveryBehavioralField) {
   EXPECT_TRUE(differs([](GovernorSpec& s) {
     s.hybrid.baseline_probability += 0.01;
   }));
+
+  // The power-cap fields render for a kPowerCap spec, and each one counts.
+  base.kind = GovernorKind::kPowerCap;
+  sim::CanonWriter wc;
+  append_canonical_governor(wc, base);
+  const std::string cap_text = wc.take();
+  EXPECT_NE(cap_text, a);
+  auto cap_differs = [&](auto mutate) {
+    GovernorSpec other = base;
+    mutate(other);
+    sim::CanonWriter wb;
+    append_canonical_governor(wb, other);
+    return cap_text != wb.take();
+  };
+  EXPECT_TRUE(cap_differs([](GovernorSpec& s) { s.power_cap.cap_w += 1.0; }));
+  EXPECT_TRUE(cap_differs([](GovernorSpec& s) { s.power_cap.kp += 0.001; }));
+  EXPECT_TRUE(cap_differs([](GovernorSpec& s) { s.power_cap.ki += 0.001; }));
+  EXPECT_TRUE(cap_differs([](GovernorSpec& s) {
+    s.power_cap.max_probability -= 0.1;
+  }));
+  // Other kinds do not render them, so their keys predate kPowerCap.
+  GovernorSpec pid_with_cap = base;
+  pid_with_cap.kind = GovernorKind::kPid;
+  pid_with_cap.power_cap.cap_w += 1.0;
+  sim::CanonWriter wp;
+  append_canonical_governor(wp, pid_with_cap);
+  EXPECT_EQ(wp.take(), a);
 }
 
 // --- arbiter ----------------------------------------------------------------

@@ -20,7 +20,7 @@ ExperimentRunner::WorkloadFactory cpuburn4() {
 
 TEST(ExperimentTest, BaselineRunIsHotAndFast) {
   auto runner = make_runner();
-  const RunResult r = runner.measure(cpuburn4(), actuation::none());
+  const RunResult r = runner.measure(cpuburn4(), ActuationSpec::none());
   EXPECT_GT(r.avg_sensor_temp_c, r.idle_sensor_temp_c + 20.0);
   EXPECT_NEAR(r.throughput, 4.0, 0.05);
   EXPECT_GT(r.avg_power_w, 60.0);
@@ -33,9 +33,9 @@ TEST(ExperimentTest, BaselineRunIsHotAndFast) {
 
 TEST(ExperimentTest, DimetrodonRunCoolerAndSlower) {
   auto runner = make_runner();
-  const RunResult base = runner.measure(cpuburn4(), actuation::none());
+  const RunResult base = runner.measure(cpuburn4(), ActuationSpec::none());
   const RunResult dim =
-      runner.measure(cpuburn4(), actuation::dimetrodon(0.5, sim::from_ms(25)));
+      runner.measure(cpuburn4(), ActuationSpec::global(0.5, sim::from_ms(25)));
   EXPECT_LT(dim.avg_sensor_temp_c, base.avg_sensor_temp_c - 3.0);
   EXPECT_LT(dim.throughput, base.throughput * 0.9);
   EXPECT_GT(dim.injected_idle_fraction, 0.1);
@@ -48,7 +48,7 @@ TEST(ExperimentTest, DimetrodonRunCoolerAndSlower) {
 
 TEST(ExperimentTest, TradeoffOfBaselineAgainstItselfIsZero) {
   auto runner = make_runner();
-  const RunResult base = runner.measure(cpuburn4(), actuation::none());
+  const RunResult base = runner.measure(cpuburn4(), ActuationSpec::none());
   const Tradeoff t = compute_tradeoff(base, base);
   EXPECT_DOUBLE_EQ(t.temp_reduction, 0.0);
   EXPECT_DOUBLE_EQ(t.throughput_reduction, 0.0);
@@ -56,8 +56,8 @@ TEST(ExperimentTest, TradeoffOfBaselineAgainstItselfIsZero) {
 
 TEST(ExperimentTest, VfsActuationSlowsByFrequencyRatio) {
   auto runner = make_runner();
-  const RunResult base = runner.measure(cpuburn4(), actuation::none());
-  const RunResult vfs = runner.measure(cpuburn4(), actuation::vfs(5));
+  const RunResult base = runner.measure(cpuburn4(), ActuationSpec::none());
+  const RunResult vfs = runner.measure(cpuburn4(), ActuationSpec::vfs(5));
   const Tradeoff t = compute_tradeoff(base, vfs);
   EXPECT_NEAR(t.throughput_retained, 1.596 / 2.261, 0.01);
 }
@@ -65,9 +65,9 @@ TEST(ExperimentTest, VfsActuationSlowsByFrequencyRatio) {
 TEST(ExperimentTest, RunsAreReproducible) {
   auto runner = make_runner();
   const RunResult a =
-      runner.measure(cpuburn4(), actuation::dimetrodon(0.25, sim::from_ms(10)));
+      runner.measure(cpuburn4(), ActuationSpec::global(0.25, sim::from_ms(10)));
   const RunResult b =
-      runner.measure(cpuburn4(), actuation::dimetrodon(0.25, sim::from_ms(10)));
+      runner.measure(cpuburn4(), ActuationSpec::global(0.25, sim::from_ms(10)));
   EXPECT_DOUBLE_EQ(a.avg_sensor_temp_c, b.avg_sensor_temp_c);
   EXPECT_DOUBLE_EQ(a.throughput, b.throughput);
 }
@@ -76,7 +76,7 @@ TEST(ExperimentTest, PostDeployHookSeesThreads) {
   auto runner = make_runner();
   bool called = false;
   runner.measure(
-      cpuburn4(), actuation::dimetrodon(0.5, sim::from_ms(10)),
+      cpuburn4(), ActuationSpec::global(0.5, sim::from_ms(10)),
       [&](sched::Machine& m, workload::Workload& wl,
           core::DimetrodonController* ctl) {
         called = true;
@@ -94,7 +94,7 @@ TEST(ExperimentTest, RunToCompletionReportsTime) {
     return std::make_unique<workload::CpuBurnFleet>(4, 2.0);
   };
   const WindowResult r =
-      runner.run_to_completion(burn, actuation::none(), sim::from_sec(30));
+      runner.run_to_completion(burn, ActuationSpec::none(), sim::from_sec(30));
   EXPECT_NEAR(r.completion_seconds, 2.0, 0.05);
   EXPECT_GT(r.meter_energy_j, 0.0);
   EXPECT_NEAR(r.meter_energy_j, r.true_energy_j, 0.12 * r.true_energy_j);
@@ -106,7 +106,7 @@ TEST(ExperimentTest, RunToCompletionDeadlineMiss) {
     return std::make_unique<workload::CpuBurnFleet>(4, 50.0);
   };
   const WindowResult r =
-      runner.run_to_completion(burn, actuation::none(), sim::from_sec(1));
+      runner.run_to_completion(burn, ActuationSpec::none(), sim::from_sec(1));
   EXPECT_LT(r.completion_seconds, 0.0);
   EXPECT_NEAR(r.wall_seconds, 1.0, 1e-9);
 }
@@ -117,7 +117,7 @@ TEST(ExperimentTest, RunWindowTracksCompletionInsideWindow) {
     return std::make_unique<workload::CpuBurnFleet>(4, 1.0);
   };
   const WindowResult r =
-      runner.run_window(burn, actuation::none(), sim::from_sec(5));
+      runner.run_window(burn, ActuationSpec::none(), sim::from_sec(5));
   EXPECT_NEAR(r.completion_seconds, 1.0, 0.05);
   EXPECT_NEAR(r.wall_seconds, 5.0, 1e-9);
 }
@@ -133,7 +133,7 @@ TEST(ExperimentTest, WithConfigAppliesMutation) {
 TEST(ExperimentTest, CountersCrossCheckInjectedIdleFraction) {
   auto runner = make_runner();
   const RunResult dim =
-      runner.measure(cpuburn4(), actuation::dimetrodon(0.5, sim::from_ms(25)));
+      runner.measure(cpuburn4(), ActuationSpec::global(0.5, sim::from_ms(25)));
   EXPECT_GT(dim.counters.injections, 0u);
   // The registry accrues the same per-quantum durations the harness sums into
   // injected_idle_fraction, sampled at the same window boundaries.
@@ -173,7 +173,7 @@ TEST(ExperimentTest, WarmForkMatchesInlineWarmupBitIdentical) {
   const sched::MachineSnapshot snap =
       runner.build_warmup_snapshot(cpuburn4(), warmup);
   for (const double p : {0.2, 0.6}) {
-    const auto act = actuation::dimetrodon(p, sim::from_ms(100));
+    const auto act = ActuationSpec::global(p, sim::from_ms(100));
     const RunResult warm = runner.measure_warm(cpuburn4(), act, snap);
     const RunResult replay = runner.measure_after_warmup(cpuburn4(), act,
                                                          warmup);
@@ -188,18 +188,119 @@ TEST(ExperimentTest, WarmupChangesTheMeasuredOperatingPoint) {
   // closely, temperatures may differ slightly, but the runs are distinct
   // simulations).
   auto runner = warm_runner();
-  const RunResult cold = runner.measure(cpuburn4(), actuation::none());
+  const RunResult cold = runner.measure(cpuburn4(), ActuationSpec::none());
   const RunResult warm = runner.measure_after_warmup(
-      cpuburn4(), actuation::none(), sim::from_sec(60));
+      cpuburn4(), ActuationSpec::none(), sim::from_sec(60));
   EXPECT_GT(warm.avg_exact_temp_c, cold.idle_exact_temp_c);
   EXPECT_NEAR(warm.throughput, cold.throughput, 0.1 * cold.throughput);
 }
 
+// Labels are CSV identifiers: every catalogue kind's string is pinned.
 TEST(ExperimentTest, LabelsPropagate) {
-  EXPECT_EQ(actuation::dimetrodon(0.25, sim::from_ms(50)).label,
+  EXPECT_EQ(ActuationSpec::none().label(), "race-to-idle");
+  EXPECT_EQ(ActuationSpec::global(0.25, sim::from_ms(50)).label(),
             "dimetrodon[p=0.25,L=50ms]");
-  EXPECT_EQ(actuation::vfs(2).label, "vfs[level=2]");
-  EXPECT_EQ(actuation::none().label, "race-to-idle");
+  EXPECT_EQ(ActuationSpec::global_stratified(0.5, sim::from_ms(25)).label(),
+            "dimetrodon-det[p=0.50,L=25ms]");
+  EXPECT_EQ(ActuationSpec::vfs(2).label(), "vfs[level=2]");
+  EXPECT_EQ(ActuationSpec::tcc(4).label(), "p4tcc[step=4]");
+
+  control::GovernorSpec pid;
+  pid.kind = control::GovernorKind::kPid;
+  EXPECT_EQ(ActuationSpec::governed(pid).label(),
+            "pid[set=68,kp=0.10,ki=0.04]");
+  control::GovernorSpec hys;
+  hys.kind = control::GovernorKind::kHysteresis;
+  EXPECT_EQ(ActuationSpec::governed(hys, 0.25).label(),
+            "hysteresis[72/68,p=0.60]+base=0.25");
+  control::GovernorSpec cap;
+  cap.kind = control::GovernorKind::kPowerCap;
+  cap.power_cap.cap_w = 48.0;
+  EXPECT_EQ(ActuationSpec::governed(cap).label(),
+            "power-cap[cap=48W,kp=0.01,ki=0.02]");
+
+  auto runner = make_runner();
+  EXPECT_EQ(runner.measure(cpuburn4(), ActuationSpec::tcc(4)).label,
+            "p4tcc[step=4]");
+}
+
+TEST(ThermalPolicyTest, RaceToIdleChangesNothing) {
+  sched::MachineConfig cfg;
+  cfg.enable_meter = false;
+  sched::Machine m(cfg);
+  EXPECT_EQ(ActuationSpec::none().apply(m), nullptr);
+  EXPECT_EQ(m.core(0).dvfs_level, 0u);
+  EXPECT_DOUBLE_EQ(m.core(0).op.clock_duty, 1.0);
+}
+
+TEST(ThermalPolicyTest, VfsSetsAllCores) {
+  sched::MachineConfig cfg;
+  cfg.enable_meter = false;
+  sched::Machine m(cfg);
+  EXPECT_EQ(ActuationSpec::vfs(3).apply(m), nullptr);
+  for (std::size_t i = 0; i < m.num_cores(); ++i) {
+    const auto& core = m.core(static_cast<sched::CoreId>(i));
+    EXPECT_EQ(core.dvfs_level, 3u);
+    EXPECT_DOUBLE_EQ(core.op.freq_ghz, m.config().dvfs.level(3).freq_ghz);
+    EXPECT_DOUBLE_EQ(core.op.voltage_v, m.config().dvfs.level(3).voltage_v);
+  }
+}
+
+TEST(ThermalPolicyTest, TccSetsDutyOnAllCores) {
+  sched::MachineConfig cfg;
+  cfg.enable_meter = false;
+  sched::Machine m(cfg);
+  EXPECT_EQ(ActuationSpec::tcc(4).apply(m), nullptr);
+  for (std::size_t i = 0; i < m.num_cores(); ++i) {
+    EXPECT_DOUBLE_EQ(m.core(static_cast<sched::CoreId>(i)).op.clock_duty,
+                     0.5);
+  }
+}
+
+TEST(ActuationSpecTest, ApplySetsEachKindsKnob) {
+  sched::MachineConfig cfg;
+  cfg.enable_meter = false;
+  for (const auto& act : {ActuationSpec::global(0.3, sim::from_ms(20)),
+                          ActuationSpec::global_stratified(0.3,
+                                                           sim::from_ms(20))}) {
+    sched::Machine m(cfg);
+    const auto ctl = act.apply(m);
+    ASSERT_NE(ctl, nullptr);
+    EXPECT_EQ(ctl->table().global().probability, 0.3);
+    EXPECT_EQ(ctl->table().global().quantum, sim::from_ms(20));
+  }
+  {
+    // A preventive floor is in force before the governor's first sample.
+    sched::Machine m(cfg);
+    control::GovernorSpec pid;
+    pid.kind = control::GovernorKind::kPid;
+    const auto ctl =
+        ActuationSpec::governed(pid, 0.2, sim::from_ms(40)).apply(m);
+    ASSERT_NE(ctl, nullptr);
+    EXPECT_EQ(ctl->table().global().probability, 0.2);
+    EXPECT_EQ(ctl->table().global().quantum, sim::from_ms(40));
+  }
+}
+
+TEST(ActuationSpecTest, VfsCoolsLoadedMachine) {
+  auto settled = [](const ActuationSpec& act) {
+    sched::MachineConfig cfg;
+    cfg.enable_meter = false;
+    sched::Machine m(cfg);
+    act.apply(m);
+    workload::CpuBurnFleet fleet(4);
+    fleet.deploy(m);
+    for (int i = 0; i < 4; ++i) {
+      m.mark_power_window();
+      m.run_for(sim::from_sec(8));
+      m.jump_to_average_power_steady_state();
+    }
+    m.run_for(sim::from_sec(3));
+    return m.mean_sensor_temp();
+  };
+  const double unconstrained = settled(ActuationSpec::none());
+  EXPECT_LT(settled(ActuationSpec::vfs(5)), unconstrained - 8.0);
+  EXPECT_LT(settled(ActuationSpec::tcc(2)), unconstrained - 10.0);
 }
 
 }  // namespace

@@ -58,10 +58,10 @@ TEST(EndToEndTest, EnergyNearRaceToIdleOverEqualWindows) {
     return std::make_unique<workload::CpuBurnFleet>(4, 7.0);
   };
   const auto dim = runner.run_to_completion(
-      burn, harness::actuation::dimetrodon(0.5, sim::from_ms(50)),
+      burn, harness::ActuationSpec::global(0.5, sim::from_ms(50)),
       sim::from_sec(120));
   ASSERT_GT(dim.completion_seconds, 7.0);
-  const auto rti = runner.run_window(burn, harness::actuation::none(),
+  const auto rti = runner.run_window(burn, harness::ActuationSpec::none(),
                                      sim::from_sec(dim.completion_seconds));
   const double ratio = dim.meter_energy_j / rti.meter_energy_j;
   EXPECT_GT(ratio, 0.95);

@@ -28,7 +28,7 @@ class InjectionSweep : public ::testing::TestWithParam<PL> {
  protected:
   static harness::RunResult baseline() {
     static const harness::RunResult r =
-        make_runner().measure(cpuburn4(), harness::actuation::none());
+        make_runner().measure(cpuburn4(), harness::ActuationSpec::none());
     return r;
   }
 };
@@ -37,7 +37,7 @@ TEST_P(InjectionSweep, ThroughputTracksAnalyticModel) {
   const auto [p, l_ms] = GetParam();
   auto runner = make_runner();
   const auto run = runner.measure(
-      cpuburn4(), harness::actuation::dimetrodon(p, sim::from_ms(l_ms)));
+      cpuburn4(), harness::ActuationSpec::global(p, sim::from_ms(l_ms)));
   const auto t = harness::compute_tradeoff(baseline(), run);
   const double predicted_retained =
       core::AnalyticModel::throughput_ratio(0.1, p, l_ms / 1000.0);
@@ -49,7 +49,7 @@ TEST_P(InjectionSweep, InjectedDutyMatchesModel) {
   const auto [p, l_ms] = GetParam();
   auto runner = make_runner();
   const auto run = runner.measure(
-      cpuburn4(), harness::actuation::dimetrodon(p, sim::from_ms(l_ms)));
+      cpuburn4(), harness::ActuationSpec::global(p, sim::from_ms(l_ms)));
   const double predicted =
       core::AnalyticModel::idle_duty_fraction(0.1, p, l_ms / 1000.0);
   EXPECT_NEAR(run.injected_idle_fraction, predicted, 0.03 + 0.05 * predicted);
@@ -59,7 +59,7 @@ TEST_P(InjectionSweep, TemperatureNeverAboveBaseline) {
   const auto [p, l_ms] = GetParam();
   auto runner = make_runner();
   const auto run = runner.measure(
-      cpuburn4(), harness::actuation::dimetrodon(p, sim::from_ms(l_ms)));
+      cpuburn4(), harness::ActuationSpec::global(p, sim::from_ms(l_ms)));
   EXPECT_LE(run.avg_exact_temp_c, baseline().avg_exact_temp_c + 0.3);
 }
 
@@ -69,7 +69,7 @@ TEST_P(InjectionSweep, TradeoffBetterThanOneToOne) {
   const auto [p, l_ms] = GetParam();
   auto runner = make_runner();
   const auto run = runner.measure(
-      cpuburn4(), harness::actuation::dimetrodon(p, sim::from_ms(l_ms)));
+      cpuburn4(), harness::ActuationSpec::global(p, sim::from_ms(l_ms)));
   const auto t = harness::compute_tradeoff(baseline(), run);
   if (t.throughput_reduction > 0.02) {
     EXPECT_GT(t.temp_reduction_exact / t.throughput_reduction, 0.95);
@@ -87,8 +87,8 @@ TEST(InjectionProperties, TemperatureMonotoneInProbability) {
   double prev = 1e9;
   for (const double p : {0.0, 0.25, 0.5, 0.75}) {
     const auto act = p == 0.0
-                         ? harness::actuation::none()
-                         : harness::actuation::dimetrodon(p, sim::from_ms(50));
+                         ? harness::ActuationSpec::none()
+                         : harness::ActuationSpec::global(p, sim::from_ms(50));
     const auto run = runner.measure(cpuburn4(), act);
     EXPECT_LT(run.avg_exact_temp_c, prev + 0.2) << "p=" << p;
     prev = run.avg_exact_temp_c;
@@ -100,11 +100,11 @@ TEST(InjectionProperties, ShortQuantaMoreEfficientThanLong) {
   // a better temperature:throughput trade-off (diminishing marginal benefit
   // of quanta length).
   auto runner = make_runner();
-  const auto base = runner.measure(cpuburn4(), harness::actuation::none());
+  const auto base = runner.measure(cpuburn4(), harness::ActuationSpec::none());
   const auto short_l = runner.measure(
-      cpuburn4(), harness::actuation::dimetrodon(0.5, sim::from_ms(5)));
+      cpuburn4(), harness::ActuationSpec::global(0.5, sim::from_ms(5)));
   const auto long_l = runner.measure(
-      cpuburn4(), harness::actuation::dimetrodon(0.5, sim::from_ms(100)));
+      cpuburn4(), harness::ActuationSpec::global(0.5, sim::from_ms(100)));
   const auto t_short = harness::compute_tradeoff(base, short_l);
   const auto t_long = harness::compute_tradeoff(base, long_l);
   const double eff_short =
@@ -118,10 +118,10 @@ TEST(InjectionProperties, VfsBeatsInjectionAtDeepReductions) {
   // Figure 4's crossover: for large temperature reductions VFS's quadratic
   // voltage advantage wins.
   auto runner = make_runner();
-  const auto base = runner.measure(cpuburn4(), harness::actuation::none());
-  const auto vfs = runner.measure(cpuburn4(), harness::actuation::vfs(5));
+  const auto base = runner.measure(cpuburn4(), harness::ActuationSpec::none());
+  const auto vfs = runner.measure(cpuburn4(), harness::ActuationSpec::vfs(5));
   const auto dim = runner.measure(
-      cpuburn4(), harness::actuation::dimetrodon(0.75, sim::from_ms(50)));
+      cpuburn4(), harness::ActuationSpec::global(0.75, sim::from_ms(50)));
   const auto t_vfs = harness::compute_tradeoff(base, vfs);
   const auto t_dim = harness::compute_tradeoff(base, dim);
   EXPECT_GT(t_vfs.temp_reduction, 0.4);
@@ -132,10 +132,10 @@ TEST(InjectionProperties, InjectionBeatsVfsAtShallowReductions) {
   // ... and for small reductions short-quantum injection wins (the paper's
   // "up to 30%" region).
   auto runner = make_runner();
-  const auto base = runner.measure(cpuburn4(), harness::actuation::none());
-  const auto vfs = runner.measure(cpuburn4(), harness::actuation::vfs(1));
+  const auto base = runner.measure(cpuburn4(), harness::ActuationSpec::none());
+  const auto vfs = runner.measure(cpuburn4(), harness::ActuationSpec::vfs(1));
   const auto dim = runner.measure(
-      cpuburn4(), harness::actuation::dimetrodon(0.25, sim::from_ms(10)));
+      cpuburn4(), harness::ActuationSpec::global(0.25, sim::from_ms(10)));
   const auto t_vfs = harness::compute_tradeoff(base, vfs);
   const auto t_dim = harness::compute_tradeoff(base, dim);
   EXPECT_GT(t_dim.temp_reduction_exact / t_dim.throughput_reduction,
@@ -144,9 +144,9 @@ TEST(InjectionProperties, InjectionBeatsVfsAtShallowReductions) {
 
 TEST(InjectionProperties, TccWorstAtDeepReductions) {
   auto runner = make_runner();
-  const auto base = runner.measure(cpuburn4(), harness::actuation::none());
-  const auto tcc = runner.measure(cpuburn4(), harness::actuation::tcc(2));
-  const auto vfs = runner.measure(cpuburn4(), harness::actuation::vfs(5));
+  const auto base = runner.measure(cpuburn4(), harness::ActuationSpec::none());
+  const auto tcc = runner.measure(cpuburn4(), harness::ActuationSpec::tcc(2));
+  const auto vfs = runner.measure(cpuburn4(), harness::ActuationSpec::vfs(5));
   const auto t_tcc = harness::compute_tradeoff(base, tcc);
   const auto t_vfs = harness::compute_tradeoff(base, vfs);
   EXPECT_LT(t_tcc.efficiency, 1.05);  // "failing to achieve even 1:1"
@@ -158,9 +158,9 @@ TEST(InjectionProperties, EnergyConservedAcrossPolicies) {
   // of work (modulo the leakage-temperature second-order term): J per unit
   // of completed work stays within a small band of race-to-idle's.
   auto runner = make_runner();
-  const auto base = runner.measure(cpuburn4(), harness::actuation::none());
+  const auto base = runner.measure(cpuburn4(), harness::ActuationSpec::none());
   const auto dim = runner.measure(
-      cpuburn4(), harness::actuation::dimetrodon(0.5, sim::from_ms(50)));
+      cpuburn4(), harness::ActuationSpec::global(0.5, sim::from_ms(50)));
   const double base_j_per_work = base.avg_power_w / base.throughput;
   // Subtract the idle-floor power spent during injected gaps: compare busy
   // energy. Coarse bound: within 15%.
@@ -169,11 +169,12 @@ TEST(InjectionProperties, EnergyConservedAcrossPolicies) {
 
 TEST(InjectionProperties, StratifiedMatchesBernoulliMeanBehavior) {
   auto runner = make_runner();
-  const auto base = runner.measure(cpuburn4(), harness::actuation::none());
+  const auto base = runner.measure(cpuburn4(), harness::ActuationSpec::none());
   const auto bern = runner.measure(
-      cpuburn4(), harness::actuation::dimetrodon(0.5, sim::from_ms(25)));
+      cpuburn4(), harness::ActuationSpec::global(0.5, sim::from_ms(25)));
   const auto strat = runner.measure(
-      cpuburn4(), harness::actuation::dimetrodon_stratified(0.5, sim::from_ms(25)));
+      cpuburn4(),
+      harness::ActuationSpec::global_stratified(0.5, sim::from_ms(25)));
   const auto t_bern = harness::compute_tradeoff(base, bern);
   const auto t_strat = harness::compute_tradeoff(base, strat);
   EXPECT_NEAR(t_strat.throughput_retained, t_bern.throughput_retained, 0.03);

@@ -258,7 +258,7 @@ TEST(SweepEngine, WarmSweepMatchesDirectHarnessBitForBit) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     SCOPED_TRACE(i);
     const auto direct = runner.measure_after_warmup(
-        specs[i].workload, specs[i].actuation.to_setup(), specs[i].warmup);
+        specs[i].workload, specs[i].actuation, specs[i].warmup);
     expect_identical(swept[i].result, direct);
   }
 }

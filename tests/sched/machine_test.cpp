@@ -119,8 +119,8 @@ TEST(MachineTest, WorkConservedUnderTimeslicing) {
 TEST(MachineTest, ThreadsSpreadAcrossCores) {
   Machine m(small_config());
   for (int i = 0; i < 4; ++i) {
-    m.create_thread("w" + std::to_string(i), ThreadClass::kUser, 0,
-                    std::make_unique<FixedWork>(1.0));
+    m.create_thread(std::string("w") + std::to_string(i), ThreadClass::kUser,
+                    0, std::make_unique<FixedWork>(1.0));
   }
   m.run_for(sim::from_sec(2));
   // With one thread per core everyone finishes in ~1 s, not 4 s.

@@ -258,9 +258,9 @@ std::vector<std::unique_ptr<Thread>> make_threads(std::uint64_t seed) {
     const ThreadClass cls =
         i % 6 == 0 ? ThreadClass::kKernel : ThreadClass::kUser;
     const int nice = static_cast<int>(rng.uniform_int(-10, 20));
-    auto t = std::make_unique<Thread>(static_cast<ThreadId>(i),
-                                      "t" + std::to_string(i), cls, nice,
-                                      std::make_unique<Noop>(), sim::Rng(i));
+    auto t = std::make_unique<Thread>(
+        static_cast<ThreadId>(i), std::string("t") + std::to_string(i), cls,
+        nice, std::make_unique<Noop>(), sim::Rng(i));
     t->set_estcpu(rng.uniform(0.0, 600.0));
     if (rng.bernoulli(0.2)) {
       t->set_affinity(static_cast<CoreId>(rng.uniform_int(0, kCores - 1)));

@@ -16,8 +16,9 @@ std::unique_ptr<Thread> make_thread(ThreadId id, ThreadClass cls = ThreadClass::
       return BurstOutcome::Exit();
     }
   };
-  return std::make_unique<Thread>(id, "t" + std::to_string(id), cls, nice,
-                                  std::make_unique<Noop>(), sim::Rng(id));
+  return std::make_unique<Thread>(id, std::string("t") + std::to_string(id),
+                                  cls, nice, std::make_unique<Noop>(),
+                                  sim::Rng(id));
 }
 
 TEST(RunQueueTest, FifoWithinSamePriority) {
