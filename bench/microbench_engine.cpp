@@ -1,6 +1,7 @@
 // Engine micro-benchmarks (google-benchmark): the hot paths that bound how
 // fast the reproduction sweeps run — event queue churn, implicit-Euler RC
-// stepping, scheduler dispatch, and whole-machine simulated seconds.
+// stepping, the leakage factor, scheduler dispatch, and whole-machine
+// simulated seconds.
 //
 // Besides the google-benchmark suite, main() always runs the acceptance
 // measurements for the closed-form thermal fast-forward — the 300 s
@@ -12,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -22,6 +24,7 @@
 
 #include "core/controller.hpp"
 #include "harness/experiment.hpp"
+#include "power/power_model.hpp"
 #include "sched/machine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
@@ -149,6 +152,28 @@ void BM_RcNetworkSteadyState(benchmark::State& state) {
   benchmark::DoNotOptimize(net.temperature(nodes.die[0]));
 }
 BENCHMARK(BM_RcNetworkSteadyState);
+
+// The leakage temperature factor, as a power-memo miss pays it: a die
+// temperature walk shaped like a cpuburn machine's, 40-70 C in small steps.
+void BM_LeakageTempFactor(benchmark::State& state) {
+  const power::CpuPowerModel model;
+  sim::Rng rng(3);
+  std::vector<double> walk(4096);
+  double t = 55.0;
+  for (double& w : walk) {
+    t += rng.uniform(-0.05, 0.05);
+    if (t < 40.0 || t > 70.0) t = 55.0;
+    w = t;
+  }
+  double sink = 0.0;
+  for (auto _ : state) {
+    for (const double w : walk) sink += model.leakage_temp_factor(w);
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(walk.size()));
+}
+BENCHMARK(BM_LeakageTempFactor);
 
 void BM_MachineSimulatedSecond(benchmark::State& state) {
   sched::MachineConfig cfg;

@@ -2,8 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace dimetrodon::power {
+namespace {
+
+const PowerModelParams& validated(const PowerModelParams& p) {
+  // The table's domain is x = (T − T0)/Tsat, and Tsat = 0 turns a die at
+  // exactly T0 into 0/0: a NaN leakage that poisons the thermal network.
+  if (!std::isfinite(p.leakage_saturation_c) || p.leakage_saturation_c <= 0.0) {
+    throw std::invalid_argument(
+        "leakage_saturation_c must be finite and positive");
+  }
+  if (!std::isfinite(p.leakage_temp_coeff)) {
+    throw std::invalid_argument("leakage_temp_coeff must be finite");
+  }
+  if (!std::isfinite(p.leakage_ref_temp_c)) {
+    throw std::invalid_argument("leakage_ref_temp_c must be finite");
+  }
+  return p;
+}
+
+}  // namespace
+
+CpuPowerModel::CpuPowerModel(PowerModelParams params)
+    : params_(validated(params)),
+      leakage_(&LeakageTable::shared(params_.leakage_temp_coeff,
+                                     params_.leakage_saturation_c)) {}
 
 double CpuPowerModel::effective_voltage(const CoreOperatingPoint& op) const {
   // During entry/exit transitions the core has not yet reached the idle
@@ -36,10 +61,8 @@ double CpuPowerModel::core_dynamic_power(const CoreOperatingPoint& op) const {
 double CpuPowerModel::leakage_temp_factor(double die_temp_c) const {
   // Soft saturation: exponential near T0, flattening far above it so the
   // leakage feedback loop is physically bounded (see PowerModelParams).
-  const double tsat = params_.leakage_saturation_c;
-  const double dt =
-      tsat * std::tanh((die_temp_c - params_.leakage_ref_temp_c) / tsat);
-  return std::exp(params_.leakage_temp_coeff * dt);
+  return (*leakage_)((die_temp_c - params_.leakage_ref_temp_c) /
+                     params_.leakage_saturation_c);
 }
 
 double CpuPowerModel::core_leakage_voltage_term(

@@ -2,6 +2,7 @@
 
 #include "power/cstate.hpp"
 #include "power/dvfs.hpp"
+#include "power/leakage_table.hpp"
 
 namespace dimetrodon::power {
 
@@ -51,8 +52,9 @@ struct CoreOperatingPoint {
 /// the machine memoises both per physical core (sched::Machine).
 class CpuPowerModel {
  public:
-  explicit CpuPowerModel(PowerModelParams params = {})
-      : params_(params) {}
+  /// Throws std::invalid_argument unless leakage_saturation_c is finite and
+  /// positive and leakage_temp_coeff and leakage_ref_temp_c are finite.
+  explicit CpuPowerModel(PowerModelParams params = {});
 
   const PowerModelParams& params() const { return params_; }
 
@@ -65,9 +67,13 @@ class CpuPowerModel {
     return core_leakage_power_with_factor(op, leakage_temp_factor(die_temp_c));
   }
 
-  /// The temperature part of leakage, exp(k·Tsat·tanh((T − T0)/Tsat)): a
-  /// pure function of the die temperature, so callers may memoise it.
+  /// The temperature part of leakage, exp(k·Tsat·tanh((T − T0)/Tsat)),
+  /// read from the shared LeakageTable for (k, Tsat): a pure function of
+  /// the die temperature, so callers may memoise it.
   double leakage_temp_factor(double die_temp_c) const;
+
+  /// The shared table behind leakage_temp_factor().
+  const LeakageTable& leakage_table() const { return *leakage_; }
 
   /// The voltage part of leakage, L0·(V/V0)², at the operating point's
   /// effective voltage: a pure function of the operating point.
@@ -95,6 +101,7 @@ class CpuPowerModel {
 
  private:
   PowerModelParams params_;
+  const LeakageTable* leakage_;
 };
 
 }  // namespace dimetrodon::power

@@ -51,7 +51,12 @@ namespace dimetrodon::sim {
 /// the core_power_evals counter (memo misses) joined
 /// obs::CounterTotals::fields(), so the cached record format changed;
 /// modelled results are unchanged.
-inline constexpr int kCanonVersion = 14;
+///
+/// v15: the leakage temperature factor is read from a fitted table
+/// (power::LeakageTable) instead of libm's tanh and exp, a declared drift of
+/// at most 4 ulp in the factor; no committed result moved, but records
+/// computed with libm leakage must not be replayed as this model's.
+inline constexpr int kCanonVersion = 15;
 
 /// The one way canonical text is produced. Fields render as "key=value "
 /// with doubles in hex-float (%a) so the text is bit-exact, integers in hex,
