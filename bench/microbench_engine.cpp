@@ -273,6 +273,8 @@ struct AdvanceResult {
   double factorizations_per_sim_second = 0.0;
   std::uint64_t events_executed = 0;
   double events_per_sim_second = 0.0;
+  std::uint64_t monitor_ticks = 0;
+  std::uint64_t clock_refreshes = 0;
   std::uint64_t power_evals = 0;
 };
 
@@ -319,6 +321,8 @@ AdvanceResult measure_machine_advance(AdvanceWorkload kind, bool reference,
       static_cast<double>(r.factorizations) / sim_seconds;
   r.events_executed = machine.simulator().events_executed();
   r.events_per_sim_second = static_cast<double>(r.events_executed) / sim_seconds;
+  r.monitor_ticks = t.monitor_ticks;
+  r.clock_refreshes = t.clock_refreshes;
   r.power_evals = t.core_power_evals;
   r.ns_per_substep =
       r.substeps > 0 ? r.wall_seconds * 1e9 / static_cast<double>(r.substeps)
@@ -427,10 +431,16 @@ WarmStartResult measure_warm_start() {
   return r;
 }
 
-double power_evals_per_event(const AdvanceResult& r) {
-  return r.events_executed > 0 ? static_cast<double>(r.power_evals) /
-                                     static_cast<double>(r.events_executed)
-                               : 0.0;
+// A thermal span ends at every event and at every refresh point the clock
+// takes in place of a monitor tick; each span evaluates every physical core.
+std::uint64_t thermal_spans(const AdvanceResult& r) {
+  return r.events_executed + r.clock_refreshes;
+}
+
+double power_evals_per_span(const AdvanceResult& r) {
+  return thermal_spans(r) > 0 ? static_cast<double>(r.power_evals) /
+                                    static_cast<double>(thermal_spans(r))
+                              : 0.0;
 }
 
 void put_advance(std::FILE* f, const char* key, const AdvanceResult& r,
@@ -450,8 +460,11 @@ void put_advance(std::FILE* f, const char* key, const AdvanceResult& r,
       "      \"free_nodes\": %llu,\n"
       "      \"events_executed\": %llu,\n"
       "      \"events_per_sim_second\": %.1f,\n"
+      "      \"monitor_ticks\": %llu,\n"
+      "      \"clock_refreshes\": %llu,\n"
+      "      \"thermal_spans\": %llu,\n"
       "      \"power_evals\": %llu,\n"
-      "      \"power_evals_per_event\": %.6f\n"
+      "      \"power_evals_per_span\": %.6f\n"
       "    }%s\n",
       key, r.wall_seconds, r.sim_seconds_per_sec, r.ns_per_substep,
       static_cast<unsigned long long>(r.substeps),
@@ -462,23 +475,32 @@ void put_advance(std::FILE* f, const char* key, const AdvanceResult& r,
       static_cast<unsigned long long>(r.solves),
       static_cast<unsigned long long>(r.free_nodes),
       static_cast<unsigned long long>(r.events_executed),
-      r.events_per_sim_second, static_cast<unsigned long long>(r.power_evals),
-      power_evals_per_event(r), trailing);
+      r.events_per_sim_second,
+      static_cast<unsigned long long>(r.monitor_ticks),
+      static_cast<unsigned long long>(r.clock_refreshes),
+      static_cast<unsigned long long>(thermal_spans(r)),
+      static_cast<unsigned long long>(r.power_evals), power_evals_per_span(r),
+      trailing);
 }
 
 // Events per simulated second the default (fast-forward) config may run.
-// cpuburn×4 needs ~40 timeslice ends, one schedcpu and 200 ticks of the one
-// periodic thermal tick (the 5 ms PROCHOT monitor); the web cell adds the
-// arrivals and their dispatch/completion events. Each budget sits below what
-// a second 5 ms tick (+200/s) would cost.
-constexpr double kCpuBurnEventBudget = 300.0;
-constexpr double kWebEventBudget = 2900.0;
+// cpuburn×4 needs ~40 timeslice ends and one schedcpu: the 5 ms leakage
+// refresh happens inside the thermal clock, and the PROCHOT certificate
+// parks the monitor tick after the first. The web cell adds the arrivals
+// and their dispatch/completion events. Each budget keeps the headroom
+// ratio the budgets had over the measured rate before the tick was parked
+// (300/241 and 2900/2794.6), so it sits below what a re-armed 5 ms tick
+// (+200/s) would cost.
+constexpr double kCpuBurnEventBudget = 51.0;
+constexpr double kWebEventBudget = 2690.0;
 
-// Per-core power-model evaluations (power memo misses) per event the
-// default config may run. At most one thermal span runs per event and each
-// evaluates every physical core, so a budget is 1.5x the cell's measured
-// miss share times 4 cores: cpuburn×4 misses 12 of 252,048 calls (its
-// operating points settle after start-up), open-loop web 23.5%.
+// Per-core power-model evaluations (power memo misses) per thermal span the
+// default config may run. Each span evaluates every physical core, so a
+// budget is 1.5x the cell's measured miss share times 4 cores: cpuburn×4
+// misses 12 of 252,048 calls (its operating points settle after start-up),
+// open-loop web 23.5%. Spans (events + clock refreshes) equal the event
+// count of a machine that ticks at every refresh point, the base those
+// shares were measured on.
 constexpr double kCpuBurnPowerEvalBudget = 1.5 * 4.8e-5 * 4;
 constexpr double kWebPowerEvalBudget = 1.5 * 0.235 * 4;
 
@@ -522,7 +544,7 @@ int write_engine_json() {
   }
   std::fprintf(f,
                "{\n"
-               "  \"schema\": \"dimetrodon-bench-engine v7\",\n"
+               "  \"schema\": \"dimetrodon-bench-engine v8\",\n"
                "  \"machine_advance\": {\n"
                "    \"workload\": \"cpuburn x4\",\n"
                "    \"sim_seconds\": %.1f,\n",
@@ -532,7 +554,7 @@ int write_engine_json() {
   std::fprintf(f,
                "    \"speedup\": %.3f,\n"
                "    \"events_budget_per_sim_second\": %.1f,\n"
-               "    \"power_evals_budget_per_event\": %.6f\n"
+               "    \"power_evals_budget_per_span\": %.6f\n"
                "  },\n"
                "  \"open_loop_web\": {\n"
                "    \"workload\": \"open-loop web, Poisson 600 rps\",\n"
@@ -544,7 +566,7 @@ int write_engine_json() {
   std::fprintf(f,
                "    \"speedup\": %.3f,\n"
                "    \"events_budget_per_sim_second\": %.1f,\n"
-               "    \"power_evals_budget_per_event\": %.6f\n"
+               "    \"power_evals_budget_per_span\": %.6f\n"
                "  },\n"
                "  \"event_queue\": {\n"
                "    \"workload\": \"%d self-rescheduling timers, "
@@ -597,8 +619,8 @@ int write_engine_json() {
        {std::tuple{"machine advance", fast, kCpuBurnEventBudget},
         std::tuple{"open-loop web", web_fast, kWebEventBudget}}) {
     if (r.events_per_sim_second > budget) {
-      // The default config runs one periodic thermal tick; a second one (a
-      // re-armed watchdog beside the PROCHOT monitor) adds 200 events/s.
+      // The default config parks its PROCHOT monitor tick; a tick that is
+      // re-armed (a certificate that fails to hold) adds 200 events/s.
       std::fprintf(stderr,
                    "BAR FAILED: %s ran %.1f events per simulated second "
                    "(budget: %.1f)\n",
@@ -609,13 +631,13 @@ int write_engine_json() {
   for (const auto& [cell, r, budget] :
        {std::tuple{"machine advance", fast, kCpuBurnPowerEvalBudget},
         std::tuple{"open-loop web", web_fast, kWebPowerEvalBudget}}) {
-    if (power_evals_per_event(r) > budget) {
+    if (power_evals_per_span(r) > budget) {
       // The power memo re-evaluates a core only when its operating point
       // or activity changed; a key that never hits shows up here.
       std::fprintf(stderr,
-                   "BAR FAILED: %s ran %.6f power evaluations per event "
-                   "(budget: %.6f)\n",
-                   cell, power_evals_per_event(r), budget);
+                   "BAR FAILED: %s ran %.6f power evaluations per thermal "
+                   "span (budget: %.6f)\n",
+                   cell, power_evals_per_span(r), budget);
       rc = 1;
     }
   }

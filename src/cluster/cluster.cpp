@@ -441,12 +441,11 @@ void Cluster::update_rack_layer(sim::SimTime t) {
   // Write each rack's air temperature into its members' inlet: the machines'
   // ambient nodes are *fixed* (boundary) nodes, so this re-aims the boundary
   // term of the closed-form propagator without invalidating its cached
-  // operators.
+  // operators (and re-checks each machine's PROCHOT certificate).
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (admin_[i] == AdminState::kDetached) continue;
-    sched::Machine& m = *nodes_[i].machine;
-    const double inlet = rack_air_.temperature(rack_air_node_[rack_of_[i]]);
-    m.thermal_network().set_temperature(m.thermal_nodes().ambient, inlet);
+    nodes_[i].machine->set_inlet_temperature(
+        rack_air_.temperature(rack_air_node_[rack_of_[i]]));
   }
   for (std::size_t r = 0; r < rack_air_node_.size(); ++r) {
     fleet_peak_inlet_c_ =
@@ -827,9 +826,7 @@ void Cluster::set_crac_supply(double supply_c) {
     // the config base follows so later joins construct at the new ambient.
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       if (admin_[i] == AdminState::kDetached) continue;
-      sched::Machine& m = *nodes_[i].machine;
-      m.thermal_network().set_temperature(m.thermal_nodes().ambient,
-                                          supply_c);
+      nodes_[i].machine->set_inlet_temperature(supply_c);
     }
     config_.machine.floorplan.ambient_c = supply_c;
   }

@@ -28,6 +28,8 @@ const std::vector<CounterTotals::Field>& CounterTotals::fields() {
       {"thermal_matvecs", &CounterTotals::thermal_matvecs, kMachine},
       {"thermal_evictions", &CounterTotals::thermal_evictions, kMachine},
       {"core_power_evals", &CounterTotals::core_power_evals, kMachine},
+      {"monitor_ticks", &CounterTotals::monitor_ticks, kMachine},
+      {"clock_refreshes", &CounterTotals::clock_refreshes, kMachine},
       {"snapshot_builds", &CounterTotals::snapshot_builds, kSweep},
       {"snapshot_forks", &CounterTotals::snapshot_forks, kSweep},
       {"requests_routed", &CounterTotals::requests_routed, kCluster},

@@ -80,6 +80,15 @@ struct CounterTotals : CoreCounters {
   /// machine restored from a snapshot (whose memo starts cold) may count up
   /// to one more per physical core than the run it forked from.
   std::uint64_t core_power_evals = 0;
+  /// PROCHOT monitor ticks that fired. The tick runs only while the PROCHOT
+  /// certificate fails (sched::MachineConfig::hw_thermal_throttle), so a
+  /// cool machine fires one, the tick that issues the certificate.
+  std::uint64_t monitor_ticks = 0;
+  /// Refresh points (multiples of thermal_monitor_period) the thermal clock
+  /// reached with no monitor tick armed there: span boundaries it took
+  /// without an event. Events + clock_refreshes is the number of thermal
+  /// spans, the base of the power-evaluation budgets.
+  std::uint64_t clock_refreshes = 0;
 
   // Warm-start counters. The machine never increments these; the sweep
   // engine's snapshot cache does (builds = warmup prefixes simulated, forks

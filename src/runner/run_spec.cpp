@@ -62,7 +62,6 @@ void append_machine(sim::CanonWriter& w, const sched::MachineConfig& m) {
   w.field("tm_period", m.thermal_monitor_period);
   w.field("tm_duty", m.prochot_duty_step);
   w.field("substep", m.thermal_substep);
-  w.field("watchdog", m.thermal_watchdog);
   w.field("ref_stepper", m.thermal_reference_stepper);
   w.field("meter_on", m.enable_meter);
   w.field("idle_eq", m.start_at_idle_equilibrium);

@@ -7,6 +7,7 @@
 #include "power/clock_modulation.hpp"
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -17,6 +18,11 @@ namespace {
 // from segment accounting (event times are integer nanoseconds), not real
 // work; treating it as pending would schedule zero-length segments.
 constexpr double kWorkEpsilon = 2e-9;
+
+// Headroom the PROCHOT certificate keeps below prochot_c. The bound is exact
+// for the implicit-Euler recurrence; this absorbs the rounding of the lifted
+// tables and the steady solve, which is orders of magnitude smaller.
+constexpr double kProchotMarginC = 0.01;
 }  // namespace
 
 Machine::Machine(MachineConfig config)
@@ -24,6 +30,10 @@ Machine::Machine(MachineConfig config)
       master_rng_(config_.seed),
       power_model_(config_.power),
       energy_(config_.num_cores) {
+  if (config_.thermal_monitor_period <= 0) {
+    throw std::invalid_argument("thermal_monitor_period must be positive");
+  }
+  refresh_at_ = config_.thermal_monitor_period;
   config_.floorplan.num_cores = config_.num_cores;
   nodes_ = thermal::build_server_floorplan(network_, config_.floorplan);
   sensors_.reserve(config_.num_cores);
@@ -96,11 +106,7 @@ Machine::Machine(MachineConfig config)
     schedule_meter_sample();
   }
   tm_active_.assign(config_.num_cores, false);
-  if (config_.thermal_reference_stepper) {
-    schedule_substep();
-  } else if (!monitor_covers_watchdog()) {
-    schedule_thermal_watchdog();
-  }
+  if (config_.thermal_reference_stepper) schedule_substep();
   schedule_schedcpu();
   if (config_.hw_thermal_throttle) schedule_thermal_monitor();
 }
@@ -251,18 +257,27 @@ void Machine::sync_thermal_counters() {
 
 void Machine::advance_thermal(sim::SimTime to) {
   if (to <= last_thermal_update_) return;
-  if (config_.thermal_reference_stepper) {
-    // Sequential reference: walk the grid one substep at a time, so power
-    // and leakage refresh at every grid point and each grid point costs one
-    // propagator step.
-    while (last_thermal_update_ < to) {
-      integrate_span(std::min(to, thermal_grid_ + config_.thermal_substep));
+  // Lazy clock: every mutation of power-relevant state calls advance_thermal
+  // before acting, so the power vector is constant across [last, to) and one
+  // span covers it however many substep grid points it crosses. The clock
+  // owns its refresh cadence: it ends a span at every refresh point, the
+  // same integrate_span a monitor tick there would run, so power and leakage
+  // refresh at least every thermal_monitor_period with no event. The
+  // sequential reference also walks the substep grid one substep at a time,
+  // so power and leakage refresh at every grid point and each grid point
+  // costs one propagator step.
+  const bool tick_armed = config_.hw_thermal_throttle && !monitor_parked_;
+  while (last_thermal_update_ < to) {
+    sim::SimTime end = std::min(to, refresh_at_);
+    if (config_.thermal_reference_stepper) {
+      end = std::min(end, thermal_grid_ + config_.thermal_substep);
     }
-  } else {
-    // Lazy clock: every mutation of power-relevant state calls
-    // advance_thermal before acting, so the power vector is constant across
-    // [last, to) and one span covers it however many grid points it crosses.
-    integrate_span(to);
+    integrate_span(end);
+    if (end == refresh_at_) {
+      refresh_at_ += config_.thermal_monitor_period;
+      // A refresh point no monitor tick fired at: the clock stood in.
+      if (!tick_armed) ++tracer_.counters().clock_refreshes;
+    }
   }
   sync_thermal_counters();
 }
@@ -307,31 +322,11 @@ void Machine::integrate_span(sim::SimTime to) {
   }
 }
 
-bool Machine::monitor_covers_watchdog() const {
-  // The monitor tick advances the thermal clock at every multiple of its
-  // period, so a watchdog whose period is a positive multiple of it would
-  // only repeat an advance_thermal(t) that is a no-op at equal t.
-  const sim::SimTime period = config_.thermal_monitor_period;
-  return config_.hw_thermal_throttle && period > 0 &&
-         config_.thermal_watchdog > 0 && config_.thermal_watchdog % period == 0;
-}
-
 void Machine::schedule_substep() {
   sim_.after(config_.thermal_substep, [this](sim::SimTime t) {
     advance_thermal(t);
     schedule_substep();
   });
-}
-
-sim::EventHandle Machine::arm_thermal_watchdog(sim::SimTime at) {
-  return sim_.at(at, [this](sim::SimTime t) {
-    advance_thermal(t);
-    schedule_thermal_watchdog();
-  });
-}
-
-void Machine::schedule_thermal_watchdog() {
-  watchdog_timer_ = arm_thermal_watchdog(sim_.now() + config_.thermal_watchdog);
 }
 
 void Machine::schedule_meter_sample() {
@@ -345,10 +340,14 @@ void Machine::schedule_meter_sample() {
 }
 
 void Machine::schedule_trace_sensor() {
-  // Pure observation: reads the current network state without advancing the
-  // thermal integrator, so chunk boundaries — and therefore every simulated
-  // result — are bit-identical with and without tracing.
+  // Observation only: the sampler advances the clock to the last refresh
+  // point at or before t, where the clock ends a span anyway, so span
+  // boundaries — and therefore every simulated result — are bit-identical
+  // with and without tracing, and a sample is as fresh as it was when a
+  // monitor tick ran at every refresh point.
   sim_.after(config_.trace_sensor_period, [this](sim::SimTime t) {
+    const sim::SimTime period = config_.thermal_monitor_period;
+    advance_thermal(t / period * period);
     for (std::size_t phys = 0; phys < config_.num_cores; ++phys) {
       tracer_.sensor_sample(t, static_cast<std::uint32_t>(phys),
                             network_.temperature(nodes_.die[phys]));
@@ -408,6 +407,7 @@ void Machine::jump_to_average_power_steady_state() {
   thermal_grid_ = last_thermal_update_;
   std::fill(carry_joules_.begin(), carry_joules_.end(), 0.0);
   mark_power_window();
+  recheck_prochot_certificate();
 }
 
 // --------------------------------------------------------------------------
@@ -941,6 +941,13 @@ void Machine::set_fan_speed(double fraction) {
   network_.set_conductance(
       nodes_.heatsink, nodes_.ambient,
       fan_factor / config_.floorplan.hs_to_ambient_resistance);
+  // The conductance moved the topology revision: this re-solves the rise.
+  recheck_prochot_certificate();
+}
+
+void Machine::set_inlet_temperature(double celsius) {
+  network_.set_temperature(nodes_.ambient, celsius);
+  recheck_prochot_certificate();
 }
 
 void Machine::set_clock_duty_step(CoreId core, std::size_t step) {
@@ -977,6 +984,7 @@ void Machine::schedule_thermal_monitor() {
 
 void Machine::thermal_monitor_tick() {
   advance_thermal(sim_.now());
+  ++tracer_.counters().monitor_ticks;
   for (std::size_t phys = 0; phys < config_.num_cores; ++phys) {
     const double temp = network_.temperature(nodes_.die[phys]);
     const bool was_active = tm_active_[phys];
@@ -1001,7 +1009,114 @@ void Machine::thermal_monitor_tick() {
       }
     }
   }
-  schedule_thermal_monitor();
+  if (prochot_certified()) {
+    // No tick can trip until the next re-check: hold the next tick's place
+    // (the seq its schedule would draw here) instead of running it.
+    sim_.queue().park(sim_.now() + config_.thermal_monitor_period,
+                      config_.thermal_monitor_period);
+    monitor_parked_ = true;
+  } else {
+    schedule_thermal_monitor();
+  }
+}
+
+void Machine::build_prochot_certificate() {
+  ProchotCertificate& c = certificate_;
+  c.revision = network_.topology_revision();
+  c.valid = false;
+  // The steady state shifts 1:1 with the inlet only when it is the one
+  // fixed node.
+  std::size_t fixed = 0;
+  for (thermal::NodeId n = 0; n < network_.node_count(); ++n) {
+    fixed += network_.is_fixed(n) ? 1 : 0;
+  }
+  if (fixed != 1) return;
+  // P_hi per die: every hardware context at C0, activity 1, duty 1 (SMT's
+  // throughput factor only if it scales up) on the costliest DVFS level,
+  // plus leakage at prochot_c. The factor is monotone in T, so its largest
+  // value below prochot_c is at prochot_c, or at -inf for a negative k.
+  const std::size_t contexts = config_.smt_enabled ? 2 : 1;
+  const double smt =
+      config_.smt_enabled ? std::max(1.0, config_.smt_throughput_factor) : 1.0;
+  const double factor =
+      std::max(power_model_.leakage_temp_factor(config_.prochot_c),
+               power_model_.leakage_temp_factor(
+                   -std::numeric_limits<double>::infinity()));
+  double p_hi = 0.0;
+  for (std::size_t l = 0; l < config_.dvfs.num_levels(); ++l) {
+    power::CoreOperatingPoint op;
+    op.cstate = power::CState::kC0;
+    op.voltage_v = config_.dvfs.level(l).voltage_v;
+    op.freq_ghz = config_.dvfs.level(l).freq_ghz;
+    op.activity = 1.0;
+    op.clock_duty = 1.0;
+    p_hi = std::max(p_hi, static_cast<double>(contexts) * smt *
+                                  power_model_.core_dynamic_power(op) +
+                              power_model_.core_leakage_voltage_term(op) *
+                                  factor);
+  }
+  std::vector<double> power(network_.node_count(), 0.0);
+  for (std::size_t i = 0; i < config_.num_cores; ++i) {
+    power[nodes_.die[i]] = p_hi;
+  }
+  power[nodes_.package] = power_model_.uncore_power(1.0);
+  if (!network_.steady_rise(power, c.rise)) return;
+  c.die_rise = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < config_.num_cores; ++i) {
+    c.die_rise = std::max(c.die_rise, c.rise[nodes_.die[i]]);
+  }
+  c.valid = true;
+}
+
+double Machine::prochot_bound() {
+  // Implicit Euler is monotone in its input: M = C/dt + G is an M-matrix, so
+  // A = M⁻¹C/dt ≥ 0 with row sums ≤ 1, and with every node's power at most
+  // its P_hi share the excess E = T − T_ss(P_hi) obeys E' ≤ A·E. Its
+  // positive part never grows, so every node stays at or below
+  // T_ss(P_hi) + max(0, max E) for as long as the dies stay under
+  // prochot_c — which this bound, when below prochot_c, guarantees.
+  if (certificate_.revision != network_.topology_revision()) {
+    build_prochot_certificate();
+  }
+  if (!certificate_.valid) return std::numeric_limits<double>::quiet_NaN();
+  const double inlet = network_.temperature(nodes_.ambient);
+  double excess = 0.0;
+  for (thermal::NodeId n = 0; n < network_.node_count(); ++n) {
+    if (network_.is_fixed(n)) continue;
+    const double e = network_.temperature(n) - certificate_.rise[n] - inlet;
+    if (!(e <= excess)) excess = e;  // a NaN sticks
+  }
+  return certificate_.die_rise + inlet + excess;
+}
+
+bool Machine::prochot_certified() {
+  for (std::size_t phys = 0; phys < tm_active_.size(); ++phys) {
+    if (tm_active_[phys]) return false;  // a release needs the tick
+  }
+  const double limit = config_.prochot_c - kProchotMarginC;
+  // The bound's no-excess part alone reaching the limit (a hot inlet, a low
+  // prochot_c) fails it without the node scan: a machine that never
+  // certifies pays O(1) per tick.
+  if (certificate_.revision == network_.topology_revision() &&
+      certificate_.valid &&
+      !(certificate_.die_rise + network_.temperature(nodes_.ambient) <
+        limit)) {
+    return false;
+  }
+  return prochot_bound() < limit;
+}
+
+void Machine::recheck_prochot_certificate() {
+  if (!config_.hw_thermal_throttle) return;
+  const bool certified = prochot_certified();
+  if (certified && !monitor_parked_ && monitor_timer_.active()) {
+    sim_.queue().park(monitor_timer_, config_.thermal_monitor_period);
+    monitor_parked_ = true;
+  } else if (!certified && monitor_parked_) {
+    monitor_timer_ =
+        sim_.queue().unpark([this](sim::SimTime) { thermal_monitor_tick(); });
+    monitor_parked_ = false;
+  }
 }
 
 void Machine::set_all_clock_duty_steps(std::size_t step) {
@@ -1157,12 +1272,16 @@ MachineSnapshot Machine::snapshot() {
     ++armed;
   }
 
-  s.watchdog = stamp_of(watchdog_timer_);
   s.schedcpu = stamp_of(schedcpu_timer_);
-  s.monitor = stamp_of(monitor_timer_);
-  armed += s.watchdog.armed ? 1 : 0;
   armed += s.schedcpu.armed ? 1 : 0;
-  armed += s.monitor.armed ? 1 : 0;
+  if (monitor_parked_) {
+    // Not in the queue's live count: the place itself is the state.
+    s.monitor = {true, sim_.queue().parked_time(), sim_.queue().parked_seq()};
+    s.monitor_parked = true;
+  } else {
+    s.monitor = stamp_of(monitor_timer_);
+    armed += s.monitor.armed ? 1 : 0;
+  }
 
   // Reconcile the tracked-event inventory against the queue's live count.
   // Anything we cannot account for (a workload call_at timer, a harness
@@ -1213,6 +1332,7 @@ void Machine::restore(const MachineSnapshot& s) {
   // deployment events); the captured event set replaces it wholesale.
   sim_.reset_for_restore(s.now, s.events_executed);
   thread_timers_.clear();
+  monitor_parked_ = false;
 
   master_rng_ = s.master_rng;
   // The power memo is not captured: restore starts it cold, so a fork may
@@ -1221,6 +1341,8 @@ void Machine::restore(const MachineSnapshot& s) {
   network_.restore_state(s.thermal);
   last_thermal_update_ = s.last_thermal_update;
   thermal_grid_ = s.thermal_grid;
+  refresh_at_ = (last_thermal_update_ / config_.thermal_monitor_period + 1) *
+                config_.thermal_monitor_period;
   carry_joules_ = s.thermal_carry;
   energy_.restore_state(s.energy);
   tracer_.counters() = s.counters;
@@ -1292,24 +1414,25 @@ void Machine::restore(const MachineSnapshot& s) {
   }
 
   // Re-arm the captured pending events in ascending captured-seq order so
-  // same-timestamp events (the recurring watchdog/schedcpu/monitor trio ties
-  // regularly) fire in exactly the captured interleaving.
+  // same-timestamp events (the recurring schedcpu/monitor pair ties
+  // regularly) fire in exactly the captured interleaving. A parked monitor
+  // tick is parked again at its turn, so its place keeps its rank too.
   struct Arm {
     std::uint64_t seq;
     std::function<void()> fn;
   };
   std::vector<Arm> arms;
-  if (s.watchdog.armed) {
-    arms.push_back({s.watchdog.seq, [this, at = s.watchdog.at] {
-                      watchdog_timer_ = arm_thermal_watchdog(at);
-                    }});
-  }
   if (s.schedcpu.armed) {
     arms.push_back({s.schedcpu.seq, [this, at = s.schedcpu.at] {
                       schedcpu_timer_ = arm_schedcpu(at);
                     }});
   }
-  if (s.monitor.armed) {
+  if (s.monitor.armed && s.monitor_parked) {
+    arms.push_back({s.monitor.seq, [this, at = s.monitor.at] {
+                      sim_.queue().park(at, config_.thermal_monitor_period);
+                      monitor_parked_ = true;
+                    }});
+  } else if (s.monitor.armed) {
     arms.push_back({s.monitor.seq, [this, at = s.monitor.at] {
                       monitor_timer_ = arm_thermal_monitor(at);
                     }});
@@ -1369,6 +1492,11 @@ void Machine::restore(const MachineSnapshot& s) {
   std::sort(arms.begin(), arms.end(),
             [](const Arm& a, const Arm& b) { return a.seq < b.seq; });
   for (const Arm& a : arms) a.fn();
+  // A parked tick was covered by the origin's certificate, and the captured
+  // state keeps it valid; re-checking builds this machine's copy of it (and
+  // would unpark in place if it did not hold). An armed tick stays armed,
+  // as it does in the run the snapshot came from.
+  if (monitor_parked_) recheck_prochot_certificate();
 }
 
 }  // namespace dimetrodon::sched

@@ -69,9 +69,23 @@ struct MachineConfig {
   /// below `prochot_release_c`. This is the worst-case DTM safety net the
   /// paper distinguishes preventive management from (§1) — Dimetrodon's job
   /// is to keep the system far away from it.
+  ///
+  /// The monitor samples the dies every `thermal_monitor_period`, but its
+  /// tick is only armed while it could trip: while no core throttles and a
+  /// steady-state bound (every die at full power at the top DVFS level,
+  /// with leakage at `prochot_c`, plus the current excess over that steady
+  /// state) stays below `prochot_c`, the machine parks the tick in its
+  /// event-queue place instead (sim::EventQueue::park). The bound is
+  /// re-checked at each tick, inlet write, fan change, steady-state jump
+  /// and restore; a failing check re-arms the tick in exactly the place it
+  /// would have held, so results do not depend on the parking.
   bool hw_thermal_throttle = true;
   double prochot_c = 85.0;
   double prochot_release_c = 80.0;
+  /// The PROCHOT sampling period, and the thermal clock's refresh cadence:
+  /// the clock splits every span at each absolute multiple of this period
+  /// it crosses, so power (and with it the temperature-dependent leakage)
+  /// is refreshed at least this often, armed tick or not. Must be > 0.
   sim::SimTime thermal_monitor_period = sim::from_ms(5);
   std::size_t prochot_duty_step = 2;  // 25% clock duty while throttling
 
@@ -85,17 +99,6 @@ struct MachineConfig {
   /// leakage and PROCHOT therefore read the last grid state, at most one
   /// substep stale.
   sim::SimTime thermal_substep = sim::from_us(250);
-
-  /// Upper bound on the span between thermal advances (a coarse self-
-  /// rescheduling event). Power — including temperature-dependent leakage —
-  /// is held constant across each span, so this bounds the leakage-feedback
-  /// refresh interval on an otherwise quiet machine. The event is not armed
-  /// when the thermal monitor's tick already lands on its instants
-  /// (`hw_thermal_throttle` on and this a positive multiple of
-  /// `thermal_monitor_period`, as in the default 5 ms / 5 ms): the monitor
-  /// advances the thermal clock at each tick, so results are identical and
-  /// the machine runs one periodic thermal tick instead of two.
-  sim::SimTime thermal_watchdog = sim::from_ms(5);
 
   /// Testing/benchmark mode: the sequential reference — a self-rescheduling
   /// `thermal_substep` event, and every span walked along the same grid one
@@ -189,6 +192,12 @@ class Machine {
   /// effective duty while a die is over temperature.
   void set_clock_duty_step(CoreId core, std::size_t step);
   void set_all_clock_duty_steps(std::size_t step);
+
+  /// Re-aim the inlet (the ambient boundary node) at `celsius`: the rack
+  /// or CRAC layer's write. Re-checks the PROCHOT certificate, O(nodes) with
+  /// no solve. Like any fixed-node write it leaves the propagator intact;
+  /// the open substep steps against the new inlet.
+  void set_inlet_temperature(double celsius);
 
   /// True while the thermal monitor is throttling this physical core.
   bool thermal_throttle_active(std::size_t phys) const {
@@ -323,6 +332,8 @@ class Machine {
   Core* sibling(const Core& c);
   void sibling_checkpoint(Core& c);
   void replan_sibling(Core& c);
+  /// Integrate up to `to`, splitting at every refresh point (absolute
+  /// multiple of thermal_monitor_period) the span crosses.
   void advance_thermal(sim::SimTime to);
   /// Charge [last_thermal_update_, to) at the current power and move the
   /// grid across every grid point it reaches.
@@ -330,10 +341,6 @@ class Machine {
   void apply_powers(double span_seconds);
   void sync_thermal_counters();
   void schedule_substep();
-  void schedule_thermal_watchdog();
-  /// True when the PROCHOT monitor's tick lands on every watchdog instant;
-  /// the watchdog is then not armed (one periodic thermal tick, not two).
-  bool monitor_covers_watchdog() const;
   void schedule_meter_sample();
   void schedule_trace_sensor();
   void schedule_schedcpu();
@@ -341,13 +348,25 @@ class Machine {
   // Absolute-time arming primitives shared by the periodic schedulers above
   // and snapshot restore (which re-arms captured events at captured times).
   void check_snapshot_preconditions() const;
-  sim::EventHandle arm_thermal_watchdog(sim::SimTime at);
   sim::EventHandle arm_schedcpu(sim::SimTime at);
   sim::EventHandle arm_thermal_monitor(sim::SimTime at);
   void arm_sleep_wake(ThreadId id, sim::SimTime at);
   void arm_injection_resume(ThreadId victim, CoreId where, sim::SimTime quantum,
                             sim::SimTime at);
   void thermal_monitor_tick();
+  /// The PROCHOT certificate's die bound, °C: max over dies of the steady
+  /// rise under P_hi, plus the inlet, plus the largest current excess of a
+  /// free node over its P_hi steady state (if positive). NaN when no
+  /// certificate can be issued (singular G, more than one fixed node, or
+  /// non-finite temperatures).
+  double prochot_bound();
+  /// True while no core throttles and prochot_bound() + margin stays below
+  /// prochot_c: no monitor tick can trip until the next re-check.
+  bool prochot_certified();
+  /// Park an armed tick the certificate covers; unpark a parked one it no
+  /// longer does. A no-op without the monitor.
+  void recheck_prochot_certificate();
+  void build_prochot_certificate();
   void apply_effective_duty(Core& c);
   double mean_c0_activity() const;
 
@@ -395,6 +414,8 @@ class Machine {
   // over the open substep's elapsed part [thermal_grid_, last_thermal_update_).
   sim::SimTime last_thermal_update_ = 0;
   sim::SimTime thermal_grid_ = 0;
+  /// The first refresh point after last_thermal_update_.
+  sim::SimTime refresh_at_ = 0;
   std::vector<double> carry_joules_;
   std::vector<double> span_power_;  // integrate_span scratch
 
@@ -404,9 +425,11 @@ class Machine {
   // over). Together with the per-core timers these account for every event
   // the machine itself puts in the queue — the inventory snapshot() captures
   // and reconciles against the queue's live count.
-  sim::EventHandle watchdog_timer_;
   sim::EventHandle schedcpu_timer_;
   sim::EventHandle monitor_timer_;
+  /// The monitor tick is parked in the queue (EventQueue::park) rather than
+  /// held by monitor_timer_.
+  bool monitor_parked_ = false;
   struct ThreadTimer {
     enum class Kind : std::uint8_t { kWake = 0, kInjectionResume = 1 };
     Kind kind = Kind::kWake;
@@ -425,6 +448,18 @@ class Machine {
   // Hardware thermal monitor state (per physical core).
   std::vector<bool> tm_active_;
   std::uint64_t tm_events_ = 0;
+
+  /// What the PROCHOT certificate solves once per topology: each node's
+  /// steady rise over the inlet with every die at P_hi and the uncore at
+  /// full activity. Built at the first check (the first monitor tick, in
+  /// practice), not at construction.
+  struct ProchotCertificate {
+    std::uint64_t revision = ~std::uint64_t{0};  // topology it was built for
+    bool valid = false;  // false: G singular or not a one-inlet network
+    std::vector<double> rise;  // per node, °C over the inlet
+    double die_rise = 0.0;     // max over dies
+  };
+  ProchotCertificate certificate_;
 };
 
 }  // namespace dimetrodon::sched

@@ -25,8 +25,9 @@ namespace dimetrodon::sched {
 ///
 ///  * every pending event is captured with its (time, seq) pair and re-armed
 ///    in ascending seq order, so events that tie on the timestamp (the
-///    recurring watchdog/schedcpu/monitor trio regularly does) fire in the
-///    captured order, and
+///    recurring schedcpu/monitor pair regularly does) fire in the captured
+///    order — a parked monitor tick (EventQueue::park) keeps its captured
+///    place the same way — and
 ///  * all stochastic state (master RNG, per-thread RNG streams, cached
 ///    Box-Muller halves) is copied verbatim.
 ///
@@ -126,9 +127,11 @@ struct MachineSnapshot {
   std::vector<ThreadId> run_queue;
   std::vector<ThreadTimerSnap> thread_timers;
 
-  EventStamp watchdog;
   EventStamp schedcpu;
+  /// The next PROCHOT monitor tick: armed in the queue, or — with
+  /// monitor_parked — parked there while the PROCHOT certificate holds.
   EventStamp monitor;
+  bool monitor_parked = false;
 };
 
 }  // namespace dimetrodon::sched

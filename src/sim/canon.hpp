@@ -56,7 +56,13 @@ namespace dimetrodon::sim {
 /// (power::LeakageTable) instead of libm's tanh and exp, a declared drift of
 /// at most 4 ulp in the factor; no committed result moved, but records
 /// computed with libm leakage must not be replayed as this model's.
-inline constexpr int kCanonVersion = 15;
+///
+/// v16: the thermal watchdog is gone — the thermal clock refreshes at every
+/// multiple of thermal_monitor_period itself — so run specs' machine
+/// section lost `watchdog`, and the monitor_ticks and clock_refreshes
+/// counters joined obs::CounterTotals::fields(); modelled results are
+/// unchanged.
+inline constexpr int kCanonVersion = 16;
 
 /// The one way canonical text is produced. Fields render as "key=value "
 /// with doubles in hex-float (%a) so the text is bit-exact, integers in hex,

@@ -72,7 +72,11 @@ EventHandle EventQueue::schedule_callback(SimTime at,
                                           detail::InlineCallback&& fn) {
   assert(at >= 0 && at != kTimeInfinity);
   maybe_compact();
-  const std::uint64_t seq = next_seq_++;
+  return insert(at, next_seq_++, std::move(fn));
+}
+
+EventHandle EventQueue::insert(SimTime at, std::uint64_t seq,
+                               detail::InlineCallback&& fn) {
   const std::uint32_t slot = arena_->alloc(at, seq, std::move(fn));
   const std::uint64_t gen = arena_->slots[slot].gen;
   heap_.push_back(Entry{at, seq, slot});
@@ -101,22 +105,30 @@ void EventQueue::drop_cancelled_head() {
   }
 }
 
-bool EventQueue::empty() {
-  drop_cancelled_head();
-  return heap_.empty();
+void EventQueue::park(SimTime at, SimTime period) {
+  assert(!parked() && at >= 0 && at != kTimeInfinity && period > 0);
+  parked_ = Parked{at, next_seq_++, period};
 }
 
-SimTime EventQueue::next_time() {
-  drop_cancelled_head();
-  return heap_.empty() ? kTimeInfinity : heap_.front().at;
+void EventQueue::park(EventHandle& h, SimTime period) {
+  assert(!parked() && h.active() && period > 0);
+  parked_ = Parked{h.time(), h.seq(), period};
+  h.cancel();
 }
 
 SimTime EventQueue::pop_and_run() {
-  drop_cancelled_head();
+  // Simulator::run_until and step() have just called next_time(), so the
+  // head is live and this is one inline test; a direct caller that
+  // cancelled the head since still gets it dropped here.
+  drop_dead_head();
   assert(!heap_.empty());
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   const Entry e = heap_.back();
   heap_.pop_back();
+  // The parked event fires before every event it precedes in (at, seq).
+  while (parked_.at < e.at || (parked_.at == e.at && parked_.seq < e.seq)) {
+    pass_parked_once();
+  }
   // Move the callback out before running it: it may schedule new events,
   // which can reuse this slot or reallocate the arena.
   detail::InlineCallback fn = std::move(arena_->slots[e.slot].fn);
@@ -130,6 +142,7 @@ void EventQueue::clear() {
     if (entry_live(e)) arena_->release(e.slot);
   }
   heap_.clear();
+  parked_ = Parked{};
   assert(arena_->live == 0);
 }
 

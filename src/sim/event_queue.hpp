@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -251,15 +252,61 @@ class EventQueue {
   }
 
   /// True if no live events remain. (Lazily discards cancelled heap entries.)
-  bool empty();
+  bool empty() {
+    drop_dead_head();
+    return heap_.empty();
+  }
 
   /// Timestamp of the earliest live event; kTimeInfinity when empty.
-  SimTime next_time();
+  SimTime next_time() {
+    drop_dead_head();
+    return heap_.empty() ? kTimeInfinity : heap_.front().at;
+  }
 
   /// Pop and run the earliest live event, returning its timestamp. The
   /// callback is moved out of its slot and the slot released before it runs.
+  /// Delivery passing the parked place (see park()) draws its seq first.
   /// Requires !empty().
   SimTime pop_and_run();
+
+  // --- parking a periodic event -------------------------------------------
+  //
+  // A self-rescheduling periodic event (period p) whose owner knows it to be
+  // a no-op for a while can be parked instead of run. The queue then keeps
+  // the event's (at, seq) place without a heap entry: each time delivery
+  // passes that place, the queue draws the seq that the event's own
+  // reschedule would have drawn there and moves the place on by p. So a
+  // parked event costs no pop and no callback, and unpark() schedules it in
+  // exactly the (at, seq) place it would hold had it run all along. One
+  // parked event per queue.
+
+  /// Park the periodic event whose next firing is `at`, drawing that
+  /// firing's seq now, exactly as schedule() would. Requires !parked().
+  void park(SimTime at, SimTime period);
+
+  /// Cancel the live event `h` and park it in its own (at, seq) place.
+  /// Requires h.active() and !parked().
+  void park(EventHandle& h, SimTime period);
+
+  /// Schedule `fn` in the parked place and stop parking. Requires parked().
+  template <typename F>
+  EventHandle unpark(F&& fn) {
+    assert(parked());
+    const Parked p = std::exchange(parked_, Parked{});
+    return insert(p.at, p.seq, detail::InlineCallback(std::forward<F>(fn)));
+  }
+
+  bool parked() const { return parked_.at != kTimeInfinity; }
+  /// The parked place; kTimeInfinity and 0 when nothing is parked.
+  SimTime parked_time() const { return parked_.at; }
+  std::uint64_t parked_seq() const { return parked_.seq; }
+
+  /// Delivery has run everything up to and including time `t` (the end of
+  /// Simulator::run_until): pass the parked place over every firing at or
+  /// before `t`.
+  void pass_parked_through(SimTime t) {
+    while (parked_.at <= t) pass_parked_once();
+  }
 
   /// Number of live (non-cancelled, unfired) events.
   std::size_t size() const { return arena_->live; }
@@ -268,10 +315,10 @@ class EventQueue {
   /// (memory-bound diagnostics; compaction keeps this O(size())).
   std::size_t heap_entries() const { return heap_.size(); }
 
-  /// Drop every pending event (their handles go inert, as if cancelled).
-  /// Used by snapshot restore, which re-arms the captured event set from
-  /// scratch; seq numbering keeps counting up, so relative tie order of
-  /// anything scheduled afterwards is unaffected.
+  /// Drop every pending event (their handles go inert, as if cancelled) and
+  /// the parked place. Used by snapshot restore, which re-arms the captured
+  /// event set from scratch; seq numbering keeps counting up, so relative
+  /// tie order of anything scheduled afterwards is unaffected.
   void clear();
 
  private:
@@ -288,15 +335,36 @@ class EventQueue {
     }
   };
 
+  /// The parked periodic event's next firing; at == kTimeInfinity when
+  /// nothing is parked, so the delivery check is one compare.
+  struct Parked {
+    SimTime at = kTimeInfinity;
+    std::uint64_t seq = 0;
+    SimTime period = 0;
+  };
+
   EventHandle schedule_callback(SimTime at, detail::InlineCallback&& fn);
+  EventHandle insert(SimTime at, std::uint64_t seq,
+                     detail::InlineCallback&& fn);
   bool entry_live(const Entry& e) const { return arena_->holds(e.slot, e.seq); }
+  /// The live-head test stays inline; only a cancelled head goes out of line.
+  void drop_dead_head() {
+    if (!heap_.empty() && !entry_live(heap_.front())) drop_cancelled_head();
+  }
   void drop_cancelled_head();
   void maybe_compact();
+  /// The parked event's firing at parked_.at happens: draw its reschedule's
+  /// seq and move on one period.
+  void pass_parked_once() {
+    parked_.seq = next_seq_++;
+    parked_.at += parked_.period;
+  }
 
   // Managed with std::push_heap/pop_heap rather than std::priority_queue:
   // compaction needs to walk and filter the underlying storage.
   std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 0;
+  Parked parked_;
   detail::ArenaRef arena_;
 };
 

@@ -13,6 +13,9 @@ void Simulator::run_until(SimTime deadline) {
     queue_.pop_and_run();
     ++events_executed_;
   }
+  // Everything up to the deadline has run, so has a parked event's firing
+  // (an endless run has no "up to" to pass it over).
+  if (deadline != kTimeInfinity) queue_.pass_parked_through(deadline);
   if (now_ < deadline) now_ = deadline;
 }
 

@@ -30,9 +30,10 @@ class Simulator {
     return queue_.schedule(now_ + delay, std::forward<F>(fn));
   }
 
-  /// Run events until the queue empties or the clock would pass `deadline`.
-  /// The clock is left at min(deadline, time of last event). Events scheduled
-  /// exactly at `deadline` are executed.
+  /// Run events until the queue empties or the clock would pass `deadline`,
+  /// and leave the clock at `deadline` (never moving it back). Events at
+  /// exactly `deadline` are executed, and a parked periodic event's firings
+  /// up to `deadline` are passed (EventQueue::park).
   void run_until(SimTime deadline);
 
   /// Run a single event if one exists; returns false when the queue is empty.

@@ -255,6 +255,23 @@ void RcNetwork::advance(double dt_seconds, std::uint64_t substeps) {
   if (substeps > 1) stats_.fast_forward_steps += substeps;
 }
 
+bool RcNetwork::steady_rise(const std::vector<double>& power,
+                            std::vector<double>& rise) {
+  ensure_structure();
+  if (!steady_lu_.valid() &&
+      !steady_lu_.factor(
+          system_matrix(std::numeric_limits<double>::infinity()))) {
+    return false;
+  }
+  const std::size_t nf = free_nodes_.size();
+  x_.resize(nf);
+  for (std::size_t i = 0; i < nf; ++i) x_[i] = power.at(free_nodes_[i]);
+  steady_lu_.solve(x_);
+  rise.assign(nodes_.size(), 0.0);
+  for (std::size_t i = 0; i < nf; ++i) rise[free_nodes_[i]] = x_[i];
+  return true;
+}
+
 void RcNetwork::solve_steady_state() {
   // Steady state is the dt -> infinity limit: G T = u.
   ensure_structure();

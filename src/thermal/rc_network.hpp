@@ -96,6 +96,20 @@ class RcNetwork {
   /// The conductance matrix is factored once per topology.
   void solve_steady_state();
 
+  /// Steady-state rise of every node over the fixed nodes' temperatures:
+  /// G·x = P over the free nodes, with `power` indexed by NodeId (fixed
+  /// nodes' entries are ignored and their rise is 0). With a single fixed
+  /// node at T, the steady state under `power` is T + rise, so the rise is
+  /// solved once per topology and shifted 1:1 as T moves. Touches no
+  /// temperature and no work counter, and shares the factorization of G
+  /// with solve_steady_state(). Returns false, with `rise` unspecified,
+  /// when G is singular (a free node with no path to a fixed node).
+  bool steady_rise(const std::vector<double>& power, std::vector<double>& rise);
+
+  /// Bumped by every add_node, add_fixed_node, connect and set_conductance:
+  /// anything derived from the conductance matrix is stale once it moves.
+  std::uint64_t topology_revision() const { return topology_revision_; }
+
   /// Sum of injected power over all nodes (diagnostics / conservation tests).
   double total_power() const;
 

@@ -151,17 +151,20 @@ TEST(GovernorDriverTest, GovernorsSeeOnlyQuantizedTemperatures) {
 }
 
 // A governor sample is an interaction point of the lazy thermal clock, not a
-// new periodic substep: with the watchdog pinned to the substep period the
-// governed fast path advances at exactly the reference stepper's instants
-// and the whole governed simulation is bit-identical.
+// new periodic substep: with the clock's refresh cadence pinned to the
+// substep period the governed fast path advances at exactly the reference
+// stepper's instants and the whole governed simulation is bit-identical.
+// Both machines sample PROCHOT at that period, so they differ only in the
+// stepper.
 TEST(GovernorDriverTest, ReferenceStepperParityUnderGovernedRun) {
   GovernorSpec spec = hysteresis_spec();
   spec.sample_period = sim::from_ms(50);
 
   sched::MachineConfig ref_cfg = base_config();
   ref_cfg.thermal_reference_stepper = true;
+  ref_cfg.thermal_monitor_period = ref_cfg.thermal_substep;
   sched::MachineConfig fast_cfg = base_config();
-  fast_cfg.thermal_watchdog = fast_cfg.thermal_substep;
+  fast_cfg.thermal_monitor_period = fast_cfg.thermal_substep;
 
   GovernedMachine ref(spec, ref_cfg);
   GovernedMachine fast(spec, fast_cfg);

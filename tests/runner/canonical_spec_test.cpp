@@ -69,25 +69,25 @@ TEST(CanonicalSpecTest, EveryDataFieldPerturbsTheText) {
 }
 
 TEST(CanonicalSpecTest, ThermalClockFieldsGetTheirOwnCacheKeys) {
-  // The watchdog period bounds the leakage-refresh span when the monitor
-  // does not cover it, and the reference stepper refreshes power at every
-  // substep: both move modelled results, so a spec differing only in one of
-  // them must not replay the other's cached record.
+  // The monitor period is the thermal clock's leakage-refresh cadence, and
+  // the reference stepper refreshes power at every substep: both move
+  // modelled results, so a spec differing only in one of them must not
+  // replay the other's cached record.
   const auto key = [](const RunSpec& s) {
     return CacheKey::of(canon(s)).hex();
   };
   const std::string base = key(base_spec());
 
-  RunSpec watchdog = base_spec();
-  watchdog.machine = sched::MachineConfig{};
-  watchdog.machine->thermal_watchdog = sim::from_ms(7);
-  EXPECT_NE(base, key(watchdog));
+  RunSpec refresh = base_spec();
+  refresh.machine = sched::MachineConfig{};
+  refresh.machine->thermal_monitor_period = sim::from_ms(7);
+  EXPECT_NE(base, key(refresh));
 
   RunSpec stepper = base_spec();
   stepper.machine = sched::MachineConfig{};
   stepper.machine->thermal_reference_stepper = true;
   EXPECT_NE(base, key(stepper));
-  EXPECT_NE(key(watchdog), key(stepper));
+  EXPECT_NE(key(refresh), key(stepper));
 }
 
 TEST(CanonicalSpecTest, GovernorParametersEnterTheActuationSection) {

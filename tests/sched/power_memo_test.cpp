@@ -12,21 +12,12 @@
 
 #include "power/cstate.hpp"
 #include "sched/machine.hpp"
+#include "machine_test_peer.hpp"
 #include "sim/rng.hpp"
 #include "workload/cpuburn.hpp"
 #include "workload/web.hpp"
 
 namespace dimetrodon::sched {
-
-/// Reaches the machine's private power path and core state.
-class MachineTestPeer {
- public:
-  static double physical_core_power(Machine& m, std::size_t phys) {
-    return m.physical_core_power(phys);
-  }
-  static Core& core(Machine& m, CoreId id) { return m.cores_.at(id); }
-};
-
 namespace {
 
 // One physical core's power computed afresh, the way the machine computed it
@@ -175,18 +166,26 @@ TEST(PowerMemoTest, MatchesFreshEvaluationThroughKnobChangesInARun) {
   }
 }
 
-// Miss budgets. At most one thermal span runs per event, and each span
-// evaluates every physical core once, so cores × events bounds the power
-// calls; the budget is 1.5× the miss share measured on the same runs:
-// cpuburn misses 12 of 25,248 calls over 30 s (after the start-up
+// Miss budgets. A thermal span ends at every event and at every refresh
+// point the clock takes in place of a monitor tick (clock_refreshes), and
+// each span evaluates every physical core once, so cores × spans bounds the
+// power calls; the budget is 1.5× the miss share measured on the same
+// runs: cpuburn misses 12 of 25,248 calls over 30 s (after the start-up
 // dispatches its operating points never change), and open-loop web at
-// 600 rps misses 23.4% over 10 s.
+// 600 rps misses 23.4% over 10 s. Spans = events + clock_refreshes equals
+// the event count of a machine whose monitor ticks at every refresh point,
+// the base these shares were measured on.
 constexpr double kCpuBurnMissShare = 4.8e-4;
 constexpr double kWebMissShare = 0.235;
 
+double thermal_spans(Machine& m) {
+  return static_cast<double>(m.simulator().events_executed() +
+                             m.counters().totals().clock_refreshes);
+}
+
 double eval_budget(Machine& m, double miss_share) {
   return 1.5 * miss_share * static_cast<double>(m.num_physical_cores()) *
-         static_cast<double>(m.simulator().events_executed());
+         thermal_spans(m);
 }
 
 TEST(PowerMemoTest, CpuBurnEvaluationsStayWithinBudget) {
@@ -199,8 +198,7 @@ TEST(PowerMemoTest, CpuBurnEvaluationsStayWithinBudget) {
   const std::uint64_t evals = power_evals(m);
   EXPECT_GT(evals, 0u);
   EXPECT_LE(static_cast<double>(evals), eval_budget(m, kCpuBurnMissShare))
-      << evals << " evaluations over " << m.simulator().events_executed()
-      << " events";
+      << evals << " evaluations over " << thermal_spans(m) << " spans";
 }
 
 TEST(PowerMemoTest, OpenLoopWebEvaluationsStayWithinBudget) {
@@ -223,8 +221,7 @@ TEST(PowerMemoTest, OpenLoopWebEvaluationsStayWithinBudget) {
   const std::uint64_t evals = power_evals(m);
   EXPECT_GT(evals, 0u);
   EXPECT_LE(static_cast<double>(evals), eval_budget(m, kWebMissShare))
-      << evals << " evaluations over " << m.simulator().events_executed()
-      << " events";
+      << evals << " evaluations over " << thermal_spans(m) << " spans";
 }
 
 TEST(PowerMemoTest, ForkWithWarmMemoMatchesReplay) {

@@ -192,6 +192,56 @@ TEST(MachineSnapshotTest, ForkMidSubstepUnderOpenLoopArrivalsMatchesReplay) {
   EXPECT_NE(dropped->die_temperature(0), replay.die_temperature(0));
 }
 
+// Fork ≡ replay across a parked PROCHOT monitor tick. The snapshot is taken
+// while the certificate parks the tick; after the cut a heat wave (inlet
+// writes plus steady-state jumps) costs the certificate, so the tick must
+// come back in its captured place and trip in both runs.
+TEST(MachineSnapshotTest, ForkWhileTheMonitorIsParkedMatchesReplay) {
+  const auto heat_wave = [](Machine& m) {
+    double inlet = 25.0;
+    for (int step = 0; step < 10; ++step) {
+      m.mark_power_window();
+      m.run_for(sim::from_ms(700));
+      m.jump_to_average_power_steady_state();
+      inlet += 3.0;
+      m.set_inlet_temperature(inlet);
+    }
+    m.run_for(sim::from_sec(1));
+  };
+  const sim::SimTime cut = sim::from_sec(3) + 2'500'000;  // between ticks
+
+  Machine replay(snap_config());
+  workload::CpuBurnFleet replay_fleet(4);
+  replay_fleet.deploy(replay);
+  replay.run_until(cut);
+  heat_wave(replay);
+
+  Machine builder(snap_config());
+  workload::CpuBurnFleet builder_fleet(4);
+  builder_fleet.deploy(builder);
+  builder.run_until(cut);
+  const MachineSnapshot snap = builder.snapshot();
+  ASSERT_TRUE(snap.monitor_parked);
+  EXPECT_EQ(snap.monitor.at, sim::from_ms(3005));
+
+  Machine forked(snap_config());
+  workload::CpuBurnFleet forked_fleet(4);
+  forked_fleet.deploy(forked);
+  forked.restore(snap);
+  heat_wave(forked);
+
+  expect_machines_bit_identical(replay, forked);
+  EXPECT_GT(replay.thermal_throttle_engagements(), 0u);
+  EXPECT_EQ(replay.thermal_throttle_engagements(),
+            forked.thermal_throttle_engagements());
+  EXPECT_EQ(replay.simulator().events_executed(),
+            forked.simulator().events_executed());
+  obs::CounterTotals a = replay.counters().totals();
+  obs::CounterTotals b = forked.counters().totals();
+  EXPECT_EQ(a.monitor_ticks, b.monitor_ticks);
+  EXPECT_EQ(a.clock_refreshes, b.clock_refreshes);
+}
+
 TEST(MachineSnapshotTest, SnapshotDoesNotPerturbTheRunningMachine) {
   // Taking a snapshot is observation only: a machine that snapshots mid-run
   // finishes bit-identically to one that never did. Both runs pause at 8 s

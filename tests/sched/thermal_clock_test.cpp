@@ -1,8 +1,9 @@
 // The lazy, event-free thermal clock: thermal state advances only at machine
-// interaction points plus one coarse periodic tick (the watchdog, or the
-// PROCHOT monitor standing in for it), fast-forwarded through the
-// closed-form propagator. These tests pin the equivalence and the event-queue
-// collapse that justify deleting the 250 µs substep event.
+// interaction points, split at every refresh point (multiple of the monitor
+// period) it crosses, fast-forwarded through the closed-form propagator.
+// These tests pin the equivalence and the event-queue collapse that justify
+// deleting the 250 µs substep event, and the in-clock refresh that stands in
+// for a periodic tick.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +11,7 @@
 
 #include "core/controller.hpp"
 #include "sched/machine.hpp"
+#include "machine_test_peer.hpp"
 #include "sim/rng.hpp"
 #include "workload/cpuburn.hpp"
 #include "workload/web.hpp"
@@ -38,15 +40,17 @@ std::vector<double> die_temps(const Machine& m) {
   return t;
 }
 
-// With the watchdog pinned to the substep period, the fast path advances at
-// exactly the same instants as the pre-PR periodic stepper, every span is a
-// single substep, and both paths execute identical arithmetic — so the whole
-// simulation must be bit-identical, not merely close.
-TEST(ThermalClockTest, WatchdogAtSubstepPeriodIsBitIdenticalToReference) {
+// With the refresh cadence pinned to the substep period, the fast path
+// advances at exactly the same instants as the periodic reference stepper,
+// every span is a single substep, and both paths execute identical
+// arithmetic — so the whole simulation must be bit-identical, not merely
+// close.
+TEST(ThermalClockTest, RefreshAtSubstepPeriodIsBitIdenticalToReference) {
   MachineConfig ref_cfg = base_config();
   ref_cfg.thermal_reference_stepper = true;
+  ref_cfg.thermal_monitor_period = ref_cfg.thermal_substep;
   MachineConfig fast_cfg = base_config();
-  fast_cfg.thermal_watchdog = fast_cfg.thermal_substep;
+  fast_cfg.thermal_monitor_period = fast_cfg.thermal_substep;
 
   Machine ref(ref_cfg);
   Machine fast(fast_cfg);
@@ -60,8 +64,9 @@ TEST(ThermalClockTest, WatchdogAtSubstepPeriodIsBitIdenticalToReference) {
   EXPECT_EQ(ref.energy().total_joules(), fast.energy().total_joules());
 }
 
-// At the default (coarse) watchdog the trajectories may differ only by the
-// leakage-refresh discretization: a small, bounded physics delta.
+// At the default (coarse) 5 ms refresh cadence the trajectories may differ
+// only by the leakage-refresh discretization: a small, bounded physics
+// delta.
 TEST(ThermalClockTest, CoarseWatchdogStaysCloseToReference) {
   MachineConfig ref_cfg = base_config();
   ref_cfg.thermal_reference_stepper = true;
@@ -90,8 +95,8 @@ TEST(ThermalClockTest, EventQueueTrafficCollapses) {
   ref.run_for(sim::from_sec(2));
   fast.run_for(sim::from_sec(2));
   // 250 µs substep events dominate the reference queue (~4000/s); the lazy
-  // clock leaves only scheduler events and one 5 ms tick (the monitor's,
-  // which covers the watchdog).
+  // clock leaves only scheduler events (the 5 ms refresh happens inside the
+  // clock, and the certified monitor tick is parked).
   EXPECT_LT(fast.simulator().events_executed() * 5,
             ref.simulator().events_executed());
 }
@@ -198,54 +203,83 @@ TEST(ThermalClockTest, InjectionCoolsUnderLazyClock) {
   EXPECT_LT(cool.die_temperature(0), hot.die_temperature(0) - 0.5);
 }
 
-TEST(ThermalClockTest, WatchdogBoundsThermalStaleness) {
-  // A machine with nothing runnable still advances its thermal state at
-  // least every watchdog period: after a long quiet run the integrated
-  // substep count must cover the whole span.
-  MachineConfig cfg = base_config();
-  cfg.hw_thermal_throttle = false;  // remove the 5 ms monitor interactions
-  Machine m(cfg);
-  m.run_for(sim::from_sec(10));
-  const obs::CounterTotals t = m.counters().totals();
-  const std::uint64_t expected =
-      static_cast<std::uint64_t>(sim::from_sec(10) / cfg.thermal_substep);
-  EXPECT_GE(t.thermal_substeps, expected);
+TEST(ThermalClockTest, RefreshGridBoundsThermalStaleness) {
+  // A machine with nothing runnable still refreshes its thermal state at
+  // every refresh point: after a long quiet run the integrated substep
+  // count covers the whole span, and each refresh point is one span
+  // boundary the clock took itself. With the monitor on, the first tick
+  // issues the PROCHOT certificate and every later point is in-clock.
+  const sim::SimTime run = sim::from_sec(10);
+  for (const bool monitor : {false, true}) {
+    MachineConfig cfg = base_config();
+    cfg.hw_thermal_throttle = monitor;
+    Machine m(cfg);
+    m.run_for(run);
+    const obs::CounterTotals t = m.counters().totals();
+    EXPECT_GE(t.thermal_substeps,
+              static_cast<std::uint64_t>(run / cfg.thermal_substep));
+    const auto points =
+        static_cast<std::uint64_t>(run / cfg.thermal_monitor_period);
+    EXPECT_EQ(t.monitor_ticks, monitor ? 1u : 0u);
+    EXPECT_EQ(t.clock_refreshes + t.monitor_ticks, points);
+  }
 }
 
-// One periodic thermal tick: advance_thermal(t) is a no-op at an equal t, so
-// whichever 5 ms tick reaches an instant first fixes the same span
-// boundaries. A monitor-only machine (PROCHOT on but out of reach) and a
-// watchdog-only machine (PROCHOT off) must follow the exact same trajectory
-// at the exact same event cost.
-TEST(ThermalClockTest, MonitorTickStandsInForTheWatchdog) {
-  MachineConfig monitor_cfg = base_config();
-  monitor_cfg.prochot_c = 1e6;  // ticks, never throttles
-  monitor_cfg.prochot_release_c = 1e6 - 5.0;
-  MachineConfig watchdog_cfg = base_config();
-  watchdog_cfg.hw_thermal_throttle = false;
+// The clock's refresh stands in for a periodic tick bit for bit. Three
+// machines: PROCHOT off (refreshes only), PROCHOT on but out of reach (the
+// certificate parks the tick after the first), and PROCHOT on with the
+// certificate revoked (a tick at every refresh point). They must follow the
+// exact same trajectory, and the ticking machine's event count must equal
+// the others' events plus the refresh points their clock took.
+TEST(ThermalClockTest, ClockRefreshStandsInForTheMonitorTick) {
+  MachineConfig off_cfg = base_config();
+  off_cfg.hw_thermal_throttle = false;
+  MachineConfig out_of_reach = base_config();
+  out_of_reach.prochot_c = 1e6;
+  out_of_reach.prochot_release_c = 1e6 - 5.0;
 
-  Machine a(monitor_cfg);
-  Machine b(watchdog_cfg);
-  // Injected idle quanta end spans at irregular instants between the ticks.
-  core::DimetrodonController ctl_a(a);
-  core::DimetrodonController ctl_b(b);
-  ctl_a.sys_set_global(0.5, sim::from_ms(3));
-  ctl_b.sys_set_global(0.5, sim::from_ms(3));
-  workload::CpuBurnFleet fleet_a(4), fleet_b(4);
-  fleet_a.deploy(a);
-  fleet_b.deploy(b);
-  a.run_for(sim::from_sec(3));
-  b.run_for(sim::from_sec(3));
+  Machine a(off_cfg);
+  Machine b(out_of_reach);
+  Machine c(out_of_reach);
+  MachineTestPeer::revoke_prochot_certificate(c);
+  std::vector<Machine*> ms = {&a, &b, &c};
+  std::vector<std::unique_ptr<core::DimetrodonController>> ctl;
+  std::vector<std::unique_ptr<workload::CpuBurnFleet>> fleets;
+  for (Machine* m : ms) {
+    // Injected idle quanta end spans at irregular instants between the
+    // refresh points.
+    ctl.push_back(std::make_unique<core::DimetrodonController>(*m));
+    ctl.back()->sys_set_global(0.5, sim::from_ms(3));
+    fleets.push_back(std::make_unique<workload::CpuBurnFleet>(4));
+    fleets.back()->deploy(*m);
+    m->run_for(sim::from_sec(3));
+  }
 
-  EXPECT_EQ(die_temps(a), die_temps(b));
-  EXPECT_EQ(a.energy().total_joules(), b.energy().total_joules());
-  EXPECT_EQ(fleet_a.progress(a), fleet_b.progress(b));
-  EXPECT_EQ(a.counters().totals().thermal_substeps,
-            b.counters().totals().thermal_substeps);
-  EXPECT_EQ(a.simulator().events_executed(), b.simulator().events_executed());
+  for (std::size_t i = 1; i < ms.size(); ++i) {
+    EXPECT_EQ(die_temps(a), die_temps(*ms[i])) << i;
+    EXPECT_EQ(a.energy().total_joules(), ms[i]->energy().total_joules()) << i;
+    EXPECT_EQ(fleets[0]->progress(a), fleets[i]->progress(*ms[i])) << i;
+    EXPECT_EQ(a.counters().totals().thermal_substeps,
+              ms[i]->counters().totals().thermal_substeps)
+        << i;
+  }
+  const auto spans = [](Machine& m) {
+    return m.simulator().events_executed() +
+           m.counters().totals().clock_refreshes;
+  };
+  const obs::CounterTotals tc = c.counters().totals();
+  EXPECT_EQ(tc.clock_refreshes, 0u);
+  EXPECT_EQ(tc.monitor_ticks, static_cast<std::uint64_t>(
+                                  sim::from_sec(3) /
+                                  out_of_reach.thermal_monitor_period));
+  EXPECT_EQ(b.counters().totals().monitor_ticks, 1u);
+  EXPECT_EQ(a.simulator().events_executed() + tc.monitor_ticks,
+            c.simulator().events_executed());
+  EXPECT_EQ(spans(a), spans(c));
+  EXPECT_EQ(spans(b), spans(c));
 }
 
-TEST(ThermalClockTest, WatchdogIsArmedOnlyWhenTheMonitorMissesItsInstants) {
+TEST(ThermalClockTest, MonitorTickIsParkedOnlyWhileCertified) {
   const auto stamps = [](const MachineConfig& cfg) {
     Machine m(cfg);
     workload::CpuBurnFleet fleet(4);
@@ -253,28 +287,27 @@ TEST(ThermalClockTest, WatchdogIsArmedOnlyWhenTheMonitorMissesItsInstants) {
     m.run_for(sim::from_ms(12));
     return m.snapshot();
   };
-  // Default: 5 ms watchdog, 5 ms monitor -> one tick.
+  // Default: the 5 ms tick issues the certificate and parks the next tick;
+  // delivery passes its place at 10 ms, so it waits at 15 ms.
   const MachineSnapshot def = stamps(base_config());
-  EXPECT_FALSE(def.watchdog.armed);
   EXPECT_TRUE(def.monitor.armed);
+  EXPECT_TRUE(def.monitor_parked);
+  EXPECT_EQ(def.monitor.at, sim::from_ms(15));
 
-  MachineConfig multiple = base_config();
-  multiple.thermal_watchdog = 4 * multiple.thermal_monitor_period;
-  EXPECT_FALSE(stamps(multiple).watchdog.armed);
-
-  MachineConfig off_grid = base_config();
-  off_grid.thermal_watchdog = sim::from_ms(7);
-  const MachineSnapshot s = stamps(off_grid);
-  EXPECT_TRUE(s.watchdog.armed);
-  EXPECT_EQ(s.watchdog.at, sim::from_ms(14));
-
-  MachineConfig finer = base_config();
-  finer.thermal_watchdog = finer.thermal_substep;
-  EXPECT_TRUE(stamps(finer).watchdog.armed);
+  // A PROCHOT threshold under the bound keeps the tick armed.
+  MachineConfig low = base_config();
+  low.prochot_c = 60.0;
+  low.prochot_release_c = 55.0;
+  const MachineSnapshot armed = stamps(low);
+  EXPECT_TRUE(armed.monitor.armed);
+  EXPECT_FALSE(armed.monitor_parked);
+  EXPECT_EQ(armed.monitor.at, sim::from_ms(15));
 
   MachineConfig no_monitor = base_config();
   no_monitor.hw_thermal_throttle = false;
-  EXPECT_TRUE(stamps(no_monitor).watchdog.armed);
+  const MachineSnapshot off = stamps(no_monitor);
+  EXPECT_FALSE(off.monitor.armed);
+  EXPECT_FALSE(off.monitor_parked);
 }
 
 }  // namespace

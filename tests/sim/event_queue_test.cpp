@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sim/rng.hpp"
+#include "sim/simulator.hpp"
 
 namespace dimetrodon::sim {
 namespace {
@@ -555,6 +556,155 @@ TEST(EventQueueOracleTest, RandomMixesFireInSortedOrder) {
     EXPECT_LT(share, 0.5);
     EXPECT_GT(oracle.clears(), 0u);
   }
+}
+
+// A periodic event (period 5) beside a random event mix on a coarse time
+// grid, so same-instant ties with the periodic event are frequent. The twin
+// with `parking` parks and unparks the periodic event at random moments:
+// at its own firing, from inside other events, and between run_until
+// chunks. Parking must be unobservable: every other event gets the same seq
+// and fires in the same order as in the twin whose periodic event never
+// stops, and each periodic firing that does run takes its twin's position.
+class ParkTwin {
+ public:
+  static constexpr SimTime kPeriod = 5;
+
+  ParkTwin(std::uint64_t seed, bool parking)
+      : rng_(seed), toggles_(seed ^ 0x9e3779b97f4a7c15ull), parking_(parking) {
+    periodic_ = sim_.at(kPeriod, [this](SimTime t) { periodic(t); });
+    for (int i = 0; i < 4; ++i) spawn();
+  }
+
+  void run(SimTime end) {
+    for (SimTime t = 7; t <= end; t += 7) {
+      sim_.run_until(t);
+      maybe_toggle();
+    }
+  }
+
+  /// (id, time) of every firing; id -1 is the periodic event.
+  const std::vector<std::pair<int, SimTime>>& fired() const { return fired_; }
+  /// (time, seq) of every non-periodic schedule, in schedule order.
+  const std::vector<std::pair<SimTime, std::uint64_t>>& scheduled() const {
+    return scheduled_;
+  }
+  std::size_t parks() const { return parks_; }
+  std::size_t unparks() const { return unparks_; }
+
+ private:
+  void periodic(SimTime t) {
+    fired_.push_back({-1, t});
+    if (parking_ && toggles_.bernoulli(0.3)) {
+      sim_.queue().park(t + kPeriod, kPeriod);
+      ++parks_;
+    } else {
+      periodic_ = sim_.at(t + kPeriod, [this](SimTime u) { periodic(u); });
+    }
+  }
+
+  void spawn() {
+    const int id = next_id_++;
+    const SimTime at = sim_.now() + rng_.uniform_int(0, 12);
+    EventHandle h = sim_.at(at, [this, id](SimTime t) { fire(id, t); });
+    scheduled_.push_back({at, h.seq()});
+    pending_.push_back(std::move(h));
+  }
+
+  void fire(int id, SimTime t) {
+    fired_.push_back({id, t});
+    // Keep about 16 events pending, counting only the mix's own events so
+    // both twins make the same draws.
+    std::erase_if(pending_, [](const EventHandle& h) { return !h.active(); });
+    const auto children = pending_.size() < 16 ? rng_.uniform_int(1, 2)
+                                               : rng_.uniform_int(0, 1);
+    for (std::int64_t k = 0; k < children; ++k) spawn();
+    if (rng_.bernoulli(0.2)) {
+      pending_[static_cast<std::size_t>(rng_.uniform_int(
+                   0, static_cast<std::int64_t>(pending_.size()) - 1))]
+          .cancel();
+    }
+    maybe_toggle();
+  }
+
+  void maybe_toggle() {
+    if (!parking_ || !toggles_.bernoulli(0.25)) return;
+    if (sim_.queue().parked()) {
+      periodic_ = sim_.queue().unpark([this](SimTime t) { periodic(t); });
+      ++unparks_;
+    } else if (periodic_.active()) {
+      sim_.queue().park(periodic_, kPeriod);
+      ++parks_;
+    }
+  }
+
+  Simulator sim_;
+  Rng rng_;
+  Rng toggles_;
+  bool parking_;
+  EventHandle periodic_;
+  int next_id_ = 0;
+  std::vector<EventHandle> pending_;
+  std::vector<std::pair<int, SimTime>> fired_;
+  std::vector<std::pair<SimTime, std::uint64_t>> scheduled_;
+  std::size_t parks_ = 0;
+  std::size_t unparks_ = 0;
+};
+
+TEST(EventQueueParkTest, ParkedPeriodicKeepsItsPlaceAgainstAnAlwaysArmedTwin) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+    SCOPED_TRACE(seed);
+    ParkTwin armed(seed, false);
+    ParkTwin parking(seed, true);
+    armed.run(20'000);
+    parking.run(20'000);
+    EXPECT_GT(parking.parks(), 100u);
+    EXPECT_GT(parking.unparks(), 100u);
+    EXPECT_EQ(armed.scheduled(), parking.scheduled());
+    // parking.fired() is armed.fired() with some periodic firings removed.
+    const auto& a = armed.fired();
+    const auto& b = parking.fired();
+    ASSERT_LT(b.size(), a.size());
+    std::size_t j = 0;
+    for (std::size_t i = 0; i < a.size() && j < b.size(); ++i) {
+      if (a[i] == b[j]) {
+        ++j;
+      } else {
+        ASSERT_EQ(a[i].first, -1) << "firing " << i << " diverged";
+      }
+    }
+    EXPECT_EQ(j, b.size());
+  }
+}
+
+TEST(EventQueueParkTest, RunUntilPassesTheParkedPlace) {
+  Simulator sim;
+  sim.queue().park(10, 10);
+  const std::uint64_t first = sim.queue().parked_seq();
+  sim.run_until(35);  // firings at 10, 20 and 30 pass, each drawing a seq
+  EXPECT_EQ(sim.queue().parked_time(), 40);
+  EXPECT_EQ(sim.queue().parked_seq(), first + 3);
+  EXPECT_EQ(sim.events_executed(), 0u);
+  // An event at the parked instant scheduled now ranks after the place.
+  bool ran = false;
+  sim.at(40, [&](SimTime) { ran = true; });
+  int fired_at = 0;
+  sim.queue().unpark([&](SimTime t) {
+    EXPECT_FALSE(ran);
+    fired_at = static_cast<int>(t);
+  });
+  EXPECT_FALSE(sim.queue().parked());
+  sim.run_until(40);
+  EXPECT_EQ(fired_at, 40);
+  EXPECT_TRUE(ran);
+}
+
+TEST(EventQueueParkTest, ClearDropsTheParkedPlace) {
+  EventQueue q;
+  q.park(5, 5);
+  EXPECT_TRUE(q.parked());
+  q.clear();
+  EXPECT_FALSE(q.parked());
+  EXPECT_EQ(q.parked_time(), kTimeInfinity);
 }
 
 }  // namespace
