@@ -1,6 +1,5 @@
 #include "analysis/bootstrap.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "analysis/stats.hpp"
@@ -38,26 +37,6 @@ ConfidenceInterval bootstrap_mean_ci(const std::vector<double>& sample,
   ci.lower = percentile(means, 100.0 * alpha);
   ci.upper = percentile(means, 100.0 * (1.0 - alpha));
   return ci;
-}
-
-Histogram make_histogram(const std::vector<double>& data, std::size_t bins) {
-  if (data.empty()) throw std::invalid_argument("make_histogram: empty data");
-  if (bins == 0) throw std::invalid_argument("make_histogram: zero bins");
-  Histogram h;
-  h.lo = *std::min_element(data.begin(), data.end());
-  h.hi = *std::max_element(data.begin(), data.end());
-  h.counts.assign(bins, 0);
-  const double span = h.hi - h.lo;
-  for (const double x : data) {
-    std::size_t idx = 0;
-    if (span > 0.0) {
-      idx = static_cast<std::size_t>((x - h.lo) / span *
-                                     static_cast<double>(bins));
-      if (idx >= bins) idx = bins - 1;  // x == hi lands in the last bin
-    }
-    ++h.counts[idx];
-  }
-  return h;
 }
 
 }  // namespace dimetrodon::analysis

@@ -25,20 +25,4 @@ ConfidenceInterval bootstrap_mean_ci(const std::vector<double>& sample,
                                      int resamples = 2000,
                                      std::uint64_t seed = 0xb0075);
 
-/// Histogram with equal-width bins over [min, max] of the data.
-struct Histogram {
-  double lo = 0.0;
-  double hi = 0.0;
-  std::vector<std::size_t> counts;
-
-  double bin_width() const {
-    return counts.empty() ? 0.0
-                          : (hi - lo) / static_cast<double>(counts.size());
-  }
-};
-
-/// Requires non-empty data and bins >= 1. Degenerate (constant) data lands
-/// in the first bin.
-Histogram make_histogram(const std::vector<double>& data, std::size_t bins);
-
 }  // namespace dimetrodon::analysis

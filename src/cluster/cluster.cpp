@@ -5,6 +5,7 @@
 #include <cmath>
 #include <exception>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -122,28 +123,16 @@ Cluster::Cluster(ClusterConfig config, std::unique_ptr<LoadBalancer> balancer)
   nodes_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const NodeSpec& spec = config_.nodes[i];
-    Node node;
-
-    sched::MachineConfig mc = config_.machine;
-    mc.floorplan.fan_speed_fraction = spec.fan_speed_fraction;
+    double inlet_c = config_.machine.floorplan.ambient_c;
     if (rack.enabled()) {
       // Every inlet starts at the CRAC supply; the rack layer takes over
       // from the first telemetry sweep.
-      mc.floorplan.ambient_c = rack.crac_supply_c;
+      inlet_c = rack.crac_supply_c;
       rack_of_[i] = i / per_rack;
     }
-    mc.seed = sim::derive_stream_seed(config_.seed, i + 1);
-    node.machine = std::make_unique<sched::Machine>(mc);
+    Node node = build_node(i, spec, node_machine_config(i, spec, inlet_c),
+                           /*warm_start=*/nullptr);
     node.last_energy_j = node.machine->energy().total_joules();
-
-    node.web = std::make_unique<workload::WebWorkload>(config_.web);
-    node.web->deploy(*node.machine);
-    node.web->set_completion_callback(
-        [this, i](std::uint32_t id, double latency_s) {
-          on_complete(i, id, latency_s);
-        });
-
-    attach_control(node, spec);
     injection_probability_[i] = spec.injection_probability;
     nodes_.push_back(std::move(node));
   }
@@ -160,6 +149,34 @@ Cluster::Cluster(ClusterConfig config, std::unique_ptr<LoadBalancer> balancer)
 }
 
 Cluster::~Cluster() = default;
+
+sched::MachineConfig Cluster::node_machine_config(std::size_t id,
+                                                  const NodeSpec& spec,
+                                                  double inlet_c) const {
+  sched::MachineConfig mc = config_.machine;
+  mc.floorplan.fan_speed_fraction = spec.fan_speed_fraction;
+  mc.floorplan.ambient_c = inlet_c;
+  mc.seed = sim::derive_stream_seed(config_.seed, id + 1);
+  return mc;
+}
+
+Cluster::Node Cluster::build_node(std::size_t id, const NodeSpec& spec,
+                                  const sched::MachineConfig& mc,
+                                  const sched::MachineSnapshot* warm_start) {
+  Node node;
+  node.machine = std::make_unique<sched::Machine>(mc);
+  node.web = std::make_unique<workload::WebWorkload>(config_.web);
+  node.web->deploy(*node.machine);
+  if (warm_start != nullptr) node.machine->restore(*warm_start);
+  node.web->set_completion_callback(
+      [this, id](std::uint32_t rid, double latency_s) {
+        on_complete(id, rid, latency_s);
+      });
+  // After the restore: injection hooks and governor timers are not
+  // snapshot-capable.
+  attach_control(node, spec);
+  return node;
+}
 
 void Cluster::attach_control(Node& node, const NodeSpec& spec) {
   if (spec.governor.enabled()) {
@@ -700,54 +717,35 @@ std::size_t Cluster::admin_join(const NodeSpec& spec, sim::SimTime warmup) {
 
   const std::size_t id = nodes_.size();
   const RackParams& rack = config_.rack;
-  sched::MachineConfig mc = config_.machine;
-  mc.floorplan.fan_speed_fraction = spec.fan_speed_fraction;
   std::size_t rack_id = 0;
+  double inlet_c = config_.machine.floorplan.ambient_c;
   if (rack.enabled()) {
     // Joins land in the last rack once it has room-by-id; racks are an id
     // grouping, so the new node shares whatever rack its id falls into.
     rack_id = std::min(id / rack.nodes_per_rack, rack_air_node_.size() - 1);
-    mc.floorplan.ambient_c = rack_air_.temperature(rack_air_node_[rack_id]);
+    inlet_c = rack_air_.temperature(rack_air_node_[rack_id]);
   }
-  mc.seed = sim::derive_stream_seed(config_.seed, id + 1);
+  const sched::MachineConfig mc = node_machine_config(id, spec, inlet_c);
 
-  Node node;
-  bool warm = false;
+  // Snapshot-warmed join: a template machine with the identical config and
+  // workload runs [0, warmup] and its snapshot restores into the fresh
+  // node, which then advances [warmup, now()]. A config the snapshot
+  // refuses (power meter, machine trace sink, reference stepper,
+  // closed-loop web connections) joins cold; any other error propagates.
+  std::optional<sched::MachineSnapshot> warm_start;
   if (warmup > 0) {
-    // Snapshot-warmed join: a template machine with the identical config
-    // and workload runs [0, warmup] and its snapshot restores into the
-    // fresh node, which then advances [warmup, now()]. Controller and
-    // governor attach AFTER the restore (injection hooks and governor
-    // timers are not snapshot-capable). Configs that cannot snapshot at
-    // all (power meter, machine trace sink, reference stepper, closed-loop
-    // web connections) fall back to a cold join.
+    sched::Machine tmpl(mc);
+    workload::WebWorkload tmpl_web(config_.web);
+    tmpl_web.deploy(tmpl);
+    tmpl.run_until(warmup);
     try {
-      sched::Machine tmpl(mc);
-      workload::WebWorkload tmpl_web(config_.web);
-      tmpl_web.deploy(tmpl);
-      tmpl.run_until(warmup);
-      const sched::MachineSnapshot snap = tmpl.snapshot();
-
-      node.machine = std::make_unique<sched::Machine>(mc);
-      node.web = std::make_unique<workload::WebWorkload>(config_.web);
-      node.web->deploy(*node.machine);
-      node.machine->restore(snap);
-      warm = true;
-    } catch (const std::exception&) {
-      node.machine.reset();
-      node.web.reset();
+      warm_start = tmpl.snapshot();
+    } catch (const sched::SnapshotUnsupported&) {
+      // Cold join, marked in the kNodeJoin trace event.
     }
   }
-  if (!node.machine) {
-    node.machine = std::make_unique<sched::Machine>(mc);
-    node.web = std::make_unique<workload::WebWorkload>(config_.web);
-    node.web->deploy(*node.machine);
-  }
-  node.web->set_completion_callback(
-      [this, id](std::uint32_t rid, double latency_s) {
-        on_complete(id, rid, latency_s);
-      });
-  attach_control(node, spec);
+  const bool warm = warm_start.has_value();
+  Node node = build_node(id, spec, mc, warm ? &*warm_start : nullptr);
   node.machine->run_until(now_);
   machine_advances_.fetch_add(1, std::memory_order_relaxed);
   node.last_energy_j = node.machine->energy().total_joules();

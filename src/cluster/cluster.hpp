@@ -303,8 +303,9 @@ class Cluster {
   /// attach post-restore, and the node advances [warmup, now()] — so a warm
   /// join needs warmup <= now() and a snapshot-capable config (no power
   /// meter, no machine trace sink, no reference stepper, no closed-loop web
-  /// connections); anything else falls back to a cold join (constructed at
-  /// t = 0 and advanced to now()), marked in the kNodeJoin trace event.
+  /// connections). A config the snapshot refuses (sched::SnapshotUnsupported)
+  /// joins cold instead (constructed at t = 0 and advanced to now()), marked
+  /// in the kNodeJoin trace event; any other error propagates.
   std::size_t admin_join(const NodeSpec& spec, sim::SimTime warmup = 0);
   /// Retarget the node's open-loop injection probability/quantum live. On a
   /// governed node this drives the arbiter's preventive channel (claimed
@@ -437,9 +438,19 @@ class Cluster {
   /// Catch the whole fleet up to now() so an admin directive lands at a
   /// well-defined instant: advance_fleet + merge_sweep, fixed node order.
   void flush_fleet();
-  /// Controller/arbiter/governor wiring per NodeSpec, shared by the
-  /// constructor and admin_join (where it runs after snapshot restore —
-  /// injection hooks and governor timers are not snapshot-capable).
+  /// Node `id`'s machine config: the fleet's, with the node's fan, its
+  /// inlet at `inlet_c` and its derived seed.
+  sched::MachineConfig node_machine_config(std::size_t id,
+                                           const NodeSpec& spec,
+                                           double inlet_c) const;
+  /// The one way to build a node, for the constructor and admin_join:
+  /// machine, web deploy, `warm_start` restored when given, completion
+  /// callback, then the control wiring.
+  Node build_node(std::size_t id, const NodeSpec& spec,
+                  const sched::MachineConfig& mc,
+                  const sched::MachineSnapshot* warm_start);
+  /// Controller/arbiter/governor wiring per NodeSpec (after any snapshot
+  /// restore: injection hooks and governor timers are not snapshot-capable).
   void attach_control(Node& node, const NodeSpec& spec);
   /// Time of the next arrival (trace cursor or Poisson draw); kTimeInfinity
   /// once an attached trace is exhausted.

@@ -66,7 +66,6 @@ class InjectionArbiter {
 
   /// Resolution state (diagnostics, tests).
   double resolved_probability() const { return resolved_p_; }
-  sim::SimTime resolved_quantum() const { return resolved_quantum_; }
   Channel winner() const { return winner_; }
   std::uint64_t writes() const { return writes_; }
 

@@ -30,16 +30,7 @@ void DimetrodonController::sys_shield_thread(sched::ThreadId tid) {
   table_.set_thread(tid, InjectionParams{0.0, 0});
 }
 
-void DimetrodonController::sys_clear_thread(sched::ThreadId tid) {
-  table_.clear_thread(tid);
-  policy_->forget(tid);
-}
-
 void DimetrodonController::sys_disable() { table_.reset(); }
-
-void DimetrodonController::sys_set_exempt_kernel(bool exempt) {
-  table_.set_exempt_kernel_threads(exempt);
-}
 
 const InjectionStats& DimetrodonController::thread_stats(
     sched::ThreadId tid) const {

@@ -39,9 +39,7 @@ class DimetrodonController final : public sched::InjectionHook {
   void sys_set_thread(sched::ThreadId tid, double probability,
                       sim::SimTime quantum);
   void sys_shield_thread(sched::ThreadId tid);  // never inject this thread
-  void sys_clear_thread(sched::ThreadId tid);
   void sys_disable();                           // stop all injection
-  void sys_set_exempt_kernel(bool exempt);
 
   PolicyTable& table() { return table_; }
   const PolicyTable& table() const { return table_; }

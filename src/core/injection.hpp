@@ -32,9 +32,6 @@ class InjectionPolicy {
   virtual std::optional<sim::SimTime> decide(sched::ThreadId tid,
                                              const InjectionParams& params,
                                              sim::SimTime now) = 0;
-
-  /// Forget any per-thread state (thread exited).
-  virtual void forget(sched::ThreadId tid) { (void)tid; }
 };
 
 /// The paper's implementation: an independent Bernoulli trial per dispatch.
@@ -68,7 +65,6 @@ class StratifiedInjection final : public InjectionPolicy {
   std::optional<sim::SimTime> decide(sched::ThreadId tid,
                                      const InjectionParams& params,
                                      sim::SimTime now) override;
-  void forget(sched::ThreadId tid) override { accumulators_.erase(tid); }
 
  private:
   double initial_accumulator(sched::ThreadId tid) const;

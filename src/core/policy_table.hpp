@@ -12,7 +12,9 @@ namespace dimetrodon::core {
 /// Dimetrodon from chip-wide mechanisms like DVFS (paper §2.1, §3.6). A
 /// global default applies to unconfigured threads; per-thread entries
 /// override it (including overriding to "never inject" for high-priority
-/// threads). Kernel-class threads are exempt by default (paper §3.1).
+/// threads). Kernel-class threads are always exempt from the global default
+/// (paper §3.1: "We always schedule kernel-level threads"); an explicit
+/// per-thread entry still targets one.
 class PolicyTable {
  public:
   /// Default applied to threads with no explicit entry.
@@ -24,21 +26,12 @@ class PolicyTable {
   void set_thread(sched::ThreadId tid, InjectionParams params) {
     overrides_[tid] = params;
   }
-  void clear_thread(sched::ThreadId tid) { overrides_.erase(tid); }
-  bool has_thread_override(sched::ThreadId tid) const {
-    return overrides_.count(tid) != 0;
-  }
-
-  /// Exempt kernel-class threads from the global policy (they can still be
-  /// targeted explicitly). Default true, matching the paper's policy choice.
-  void set_exempt_kernel_threads(bool exempt) { exempt_kernel_ = exempt; }
-  bool exempt_kernel_threads() const { return exempt_kernel_; }
 
   /// Resolve the effective parameters for a thread.
   InjectionParams params_for(const sched::Thread& t) const {
     const auto it = overrides_.find(t.id());
     if (it != overrides_.end()) return it->second;
-    if (exempt_kernel_ && t.thread_class() == sched::ThreadClass::kKernel) {
+    if (t.thread_class() == sched::ThreadClass::kKernel) {
       return InjectionParams{};  // disabled
     }
     return global_;
@@ -53,7 +46,6 @@ class PolicyTable {
  private:
   InjectionParams global_{};
   std::unordered_map<sched::ThreadId, InjectionParams> overrides_;
-  bool exempt_kernel_ = true;
 };
 
 }  // namespace dimetrodon::core

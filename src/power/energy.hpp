@@ -1,58 +1,22 @@
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
 namespace dimetrodon::power {
 
-/// Exact (model-side) energy bookkeeping: integrates true power per core and
-/// for the package across the simulation. Used by conservation tests and to
-/// cross-check the noisy PowerMeter path.
+/// Exact (model-side) energy bookkeeping: integrates true package power
+/// (every core and the uncore) across the simulation. Used by conservation
+/// tests and to cross-check the noisy PowerMeter path. A plain value, so a
+/// machine snapshot copies it whole.
 class EnergyAccountant {
  public:
-  explicit EnergyAccountant(std::size_t num_cores)
-      : core_joules_(num_cores, 0.0) {}
-
-  /// Accumulate `watts` over `dt_seconds` for core `i`.
-  void add_core(std::size_t i, double watts, double dt_seconds) {
-    core_joules_.at(i) += watts * dt_seconds;
+  /// Accumulate `watts` over `dt_seconds`. The total is a running sum in
+  /// call order, so callers keep one order of additions per span.
+  void add(double watts, double dt_seconds) {
     total_joules_ += watts * dt_seconds;
   }
 
-  /// Accumulate uncore/package-shared energy.
-  void add_uncore(double watts, double dt_seconds) {
-    uncore_joules_ += watts * dt_seconds;
-    total_joules_ += watts * dt_seconds;
-  }
-
-  double core_joules(std::size_t i) const { return core_joules_.at(i); }
-  double uncore_joules() const { return uncore_joules_; }
   double total_joules() const { return total_joules_; }
 
-  void reset() {
-    for (auto& j : core_joules_) j = 0.0;
-    uncore_joules_ = 0.0;
-    total_joules_ = 0.0;
-  }
-
-  /// Snapshot support: full accumulator state, restorable verbatim.
-  struct State {
-    std::vector<double> core_joules;
-    double uncore_joules = 0.0;
-    double total_joules = 0.0;
-  };
-  State save_state() const {
-    return State{core_joules_, uncore_joules_, total_joules_};
-  }
-  void restore_state(const State& s) {
-    core_joules_ = s.core_joules;
-    uncore_joules_ = s.uncore_joules;
-    total_joules_ = s.total_joules;
-  }
-
  private:
-  std::vector<double> core_joules_;
-  double uncore_joules_ = 0.0;
   double total_joules_ = 0.0;
 };
 

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "power/power_model.hpp"
 #include "sched/thread.hpp"
@@ -17,37 +19,43 @@ enum class CoreActivity : std::uint8_t {
   kIdleExiting,     // transitioning back to C0
 };
 
-/// Per-core execution state, owned by the Machine.
-struct Core {
+/// A core's value state, as one trivially copyable value:
+/// Machine::snapshot() and restore() copy it whole, so a field added here is
+/// captured with no further code.
+struct CoreDynamicState {
   CoreId id = 0;
 
-  Thread* current = nullptr;
   ThreadId last_thread = kInvalidThread;  // affinity / context-switch check
-
   CoreActivity activity = CoreActivity::kIdle;
   bool injected_idle = false;      // current idle is a Dimetrodon quantum
-  Thread* injection_victim = nullptr;
 
   power::CoreOperatingPoint op;    // consumed by the power model
   std::size_t dvfs_level = 0;
   std::size_t duty_step_user = 8;  // software-requested TCC duty step
 
-  sim::EventHandle timer;          // segment end / idle-quantum end
-  sim::EventHandle transition_timer;
-
   // Execution segment bookkeeping.
   sim::SimTime segment_start = 0;      // when useful execution began
   sim::SimTime quantum_deadline = 0;   // end of the current timeslice
-  double quantum_ran_seconds = 0.0;    // CPU time consumed this timeslice
   sim::SimTime idle_settled_at = 0;    // when the idle C-state was reached
 
-  // Statistics.
+  // Statistics the counter registry does not keep (obs::CoreCounters holds
+  // dispatches, context switches and injections).
   double busy_seconds = 0.0;
-  double idle_seconds = 0.0;
   double injected_idle_seconds = 0.0;
-  std::uint64_t dispatches = 0;
-  std::uint64_t injections = 0;
-  std::uint64_t context_switches = 0;
+};
+// One snapshot is shared read-only across sweep lanes (runner::SnapshotCache),
+// so it must hold plain values: an EventHandle's owner count is not atomic.
+static_assert(std::is_trivially_copyable_v<CoreDynamicState>);
+
+/// Per-core execution state, owned by the Machine: the value state plus the
+/// members that point into the machine, which a snapshot translates (the
+/// threads to their ids, the timers to their (at, seq) places).
+struct Core : CoreDynamicState {
+  Thread* current = nullptr;
+  Thread* injection_victim = nullptr;
+
+  sim::EventHandle timer;          // segment end / idle-quantum end
+  sim::EventHandle transition_timer;
 
   /// Work completion rate relative to nominal: (f/f0) * effective clock
   /// duty. TCC-style duty cycling costs more throughput than its duty factor
@@ -59,11 +67,6 @@ struct Core {
     const double duty_eff =
         op.clock_duty * (1.0 - modulation_overhead * (1.0 - op.clock_duty));
     return (op.freq_ghz / nominal_freq_ghz) * duty_eff;
-  }
-
-  bool is_idle() const {
-    return activity == CoreActivity::kIdle ||
-           activity == CoreActivity::kIdleEntering;
   }
 };
 

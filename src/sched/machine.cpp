@@ -28,8 +28,7 @@ constexpr double kProchotMarginC = 0.01;
 Machine::Machine(MachineConfig config)
     : config_(std::move(config)),
       master_rng_(config_.seed),
-      power_model_(config_.power),
-      energy_(config_.num_cores) {
+      power_model_(config_.power) {
   if (config_.thermal_monitor_period <= 0) {
     throw std::invalid_argument("thermal_monitor_period must be positive");
   }
@@ -236,12 +235,12 @@ void Machine::apply_powers(double span_seconds) {
   for (std::size_t i = 0; i < config_.num_cores; ++i) {
     const double p = physical_core_power(i);
     network_.set_power(nodes_.die[i], p);
-    energy_.add_core(i, p, span_seconds);
+    energy_.add(p, span_seconds);
     window_node_joules_[nodes_.die[i]] += p * span_seconds;
   }
   const double uncore = power_model_.uncore_power(mean_c0_activity());
   network_.set_power(nodes_.package, uncore);
-  energy_.add_uncore(uncore, span_seconds);
+  energy_.add(uncore, span_seconds);
   window_node_joules_[nodes_.package] += uncore * span_seconds;
 }
 
@@ -425,7 +424,6 @@ ThreadId Machine::create_thread(std::string name, ThreadClass cls, int nice,
   t->set_state(ThreadState::kSleeping);  // make_runnable flips it
   Thread& ref = *t;
   threads_.push_back(std::move(t));
-  ++live_threads_;
   make_runnable(ref);
   return id;
 }
@@ -567,18 +565,23 @@ void Machine::track_thread_timer(ThreadTimer&& t) {
   thread_timers_.push_back(std::move(t));
 }
 
-void Machine::stop_current(Core& core, sim::SimTime now) {
-  advance_thermal(now);
-  core.timer.cancel();
+double Machine::retire_segment(Core& core, sim::SimTime now) {
   Thread& t = *core.current;
   const double rate = execution_rate(core);
-  const double elapsed =
-      std::max(0.0, sim::to_sec(now - core.segment_start));
+  const double elapsed = std::max(0.0, sim::to_sec(now - core.segment_start));
   const double work = std::min(elapsed * rate, t.burst_remaining());
   t.add_cpu_seconds(elapsed);
   t.add_work_completed(work);
   t.set_burst_remaining(t.burst_remaining() - work);
   core.busy_seconds += elapsed;
+  return elapsed;
+}
+
+void Machine::stop_current(Core& core, sim::SimTime now) {
+  advance_thermal(now);
+  core.timer.cancel();
+  Thread& t = *core.current;
+  const double elapsed = retire_segment(core, now);
   t.set_state(ThreadState::kRunnable);
   scheduler_->thread_stopped(t, elapsed, now);
   scheduler_->enqueue_front(t);
@@ -591,8 +594,6 @@ void Machine::finish_thread(Core& core, Thread& t) {
   t.set_state(ThreadState::kDone);
   t.set_finished_at(sim_.now());
   core.current = nullptr;
-  assert(live_threads_ > 0);
-  --live_threads_;
 }
 
 // --------------------------------------------------------------------------
@@ -611,7 +612,6 @@ void Machine::dispatch(Core& core) {
     const auto idle_quantum = hook_->before_dispatch(*t, core.id, sim_.now());
     if (idle_quantum.has_value() && *idle_quantum > 0) {
       t->increment_injections_suffered();
-      ++core.injections;
       if (config_.injection_suspends_thread) {
         // Per-thread semantics (Fig. 5): deschedule the victim for the idle
         // quantum; the dispatch loop below finds other work or idles the
@@ -629,7 +629,6 @@ void Machine::dispatch(Core& core) {
             stop_current(*sib, sim_.now());
             scheduler_->dequeue(co_victim);
             co_victim.increment_injections_suffered();
-            ++sib->injections;
             suspend_for_injection(co_victim, sib->id, *idle_quantum);
             dispatch(*sib);
           }
@@ -655,10 +654,8 @@ void Machine::run_thread(Core& core, Thread& t) {
   t.set_state(ThreadState::kRunning);
   t.set_last_core(core.id);
   t.increment_times_scheduled();
-  ++core.dispatches;
 
   const bool switching = core.last_thread != t.id();
-  if (switching) ++core.context_switches;
   core.last_thread = t.id();
   tracer_.sched_switch(sim_.now(), core.id, t.id(), switching);
 
@@ -709,13 +706,7 @@ void Machine::on_segment_end(Core& core) {
   const sim::SimTime now = sim_.now();
   advance_thermal(now);
   Thread& t = *core.current;
-  const double rate = execution_rate(core);
-  const double elapsed = std::max(0.0, sim::to_sec(now - core.segment_start));
-  const double work = std::min(elapsed * rate, t.burst_remaining());
-  t.add_cpu_seconds(elapsed);
-  t.add_work_completed(work);
-  t.set_burst_remaining(t.burst_remaining() - work);
-  core.busy_seconds += elapsed;
+  const double elapsed = retire_segment(core, now);
 
   if (t.burst_remaining() > kWorkEpsilon) {
     // Timeslice expired with work left: round-robin back into the queue.
@@ -847,7 +838,6 @@ void Machine::begin_idle_exit(Core& core) {
   const sim::SimTime span_ns = std::max<sim::SimTime>(
       sim::SimTime{0}, sim_.now() - core.segment_start);
   const double idle_span = std::max(0.0, sim::to_sec(span_ns));
-  core.idle_seconds += idle_span;
   if (core.injected_idle) core.injected_idle_seconds += idle_span;
   tracer_.idle_span(core.id, span_ns);
   if (core.activity == CoreActivity::kIdle) {
@@ -895,15 +885,8 @@ void Machine::checkpoint_segment(Core& core) {
   if (core.activity != CoreActivity::kExecuting || core.current == nullptr) {
     return;
   }
-  Thread& t = *core.current;
   const sim::SimTime now = sim_.now();
-  const double rate = execution_rate(core);
-  const double elapsed = std::max(0.0, sim::to_sec(now - core.segment_start));
-  const double work = std::min(elapsed * rate, t.burst_remaining());
-  t.add_cpu_seconds(elapsed);
-  t.add_work_completed(work);
-  t.set_burst_remaining(t.burst_remaining() - work);
-  core.busy_seconds += elapsed;
+  retire_segment(core, now);
   core.segment_start = std::max(now, core.segment_start);
 }
 
@@ -1166,22 +1149,22 @@ MachineSnapshot::EventStamp stamp_of(const sim::EventHandle& h) {
 
 void Machine::check_snapshot_preconditions() const {
   if (meter_.has_value()) {
-    throw std::runtime_error(
+    throw SnapshotUnsupported(
         "machine snapshot: power meter attached (its sampling event and "
         "noise stream are not captured)");
   }
   if (tracer_.active()) {
-    throw std::runtime_error(
+    throw SnapshotUnsupported(
         "machine snapshot: trace sink attached (the sensor-sampling event "
         "is not captured)");
   }
   if (config_.thermal_reference_stepper) {
-    throw std::runtime_error(
+    throw SnapshotUnsupported(
         "machine snapshot: reference thermal stepper active (its recurring "
         "substep event is not captured)");
   }
   if (hook_ != nullptr) {
-    throw std::runtime_error(
+    throw SnapshotUnsupported(
         "machine snapshot: injection hook attached (hook-internal state "
         "cannot be captured; snapshot before attach_hook, restore, then "
         "attach)");
@@ -1203,60 +1186,28 @@ MachineSnapshot Machine::snapshot() {
   s.threads.reserve(threads_.size());
   for (const auto& tp : threads_) {
     Thread& t = *tp;
-    MachineSnapshot::ThreadSnap ts;
-    ts.state = t.state();
-    ts.affinity = t.affinity();
-    ts.injection_pin = t.injection_pin();
-    ts.injection_suspended = t.injection_suspended();
-    ts.burst_remaining = t.burst_remaining();
-    ts.activity = t.activity();
-    ts.cpu_seconds = t.cpu_seconds_consumed();
-    ts.work_completed = t.work_completed();
-    ts.bursts_completed = t.bursts_completed();
-    ts.times_scheduled = t.times_scheduled();
-    ts.injections_suffered = t.injections_suffered();
-    ts.created_at = t.created_at();
-    ts.finished_at = t.finished_at();
-    ts.estcpu = t.estcpu();
-    ts.sleep_started_at = t.sleep_started_at();
-    ts.last_core = t.last_core();
-    ts.rng = t.rng();
+    MachineSnapshot::ThreadSnap& ts = s.threads.emplace_back();
+    ts.state = t.dynamic_state();
     if (!t.behavior().save_state(ts.behavior_state)) {
-      throw std::runtime_error("machine snapshot: thread '" + t.name() +
-                               "' has a behavior without snapshot support");
+      throw SnapshotUnsupported("machine snapshot: thread '" + t.name() +
+                                "' has a behavior without snapshot support");
     }
-    s.threads.push_back(std::move(ts));
   }
 
+  const auto id_of = [](const Thread* t) {
+    return t != nullptr ? t->id() : kInvalidThread;
+  };
   std::size_t armed = 0;
   s.cores.reserve(cores_.size());
   for (const Core& c : cores_) {
-    MachineSnapshot::CoreSnap cs;
-    cs.current = c.current != nullptr ? c.current->id() : kInvalidThread;
-    cs.last_thread = c.last_thread;
-    cs.activity = c.activity;
-    cs.injected_idle = c.injected_idle;
-    cs.injection_victim =
-        c.injection_victim != nullptr ? c.injection_victim->id()
-                                      : kInvalidThread;
-    cs.op = c.op;
-    cs.dvfs_level = c.dvfs_level;
-    cs.duty_step_user = c.duty_step_user;
-    cs.segment_start = c.segment_start;
-    cs.quantum_deadline = c.quantum_deadline;
-    cs.quantum_ran_seconds = c.quantum_ran_seconds;
-    cs.idle_settled_at = c.idle_settled_at;
-    cs.busy_seconds = c.busy_seconds;
-    cs.idle_seconds = c.idle_seconds;
-    cs.injected_idle_seconds = c.injected_idle_seconds;
-    cs.dispatches = c.dispatches;
-    cs.injections = c.injections;
-    cs.context_switches = c.context_switches;
+    MachineSnapshot::CoreSnap& cs = s.cores.emplace_back();
+    cs.state = c;
+    cs.current = id_of(c.current);
+    cs.injection_victim = id_of(c.injection_victim);
     cs.timer = stamp_of(c.timer);
     cs.transition_timer = stamp_of(c.transition_timer);
     armed += cs.timer.armed ? 1 : 0;
     armed += cs.transition_timer.armed ? 1 : 0;
-    s.cores.push_back(cs);
   }
 
   for (const ThreadTimer& tt : thread_timers_) {
@@ -1287,7 +1238,7 @@ MachineSnapshot Machine::snapshot() {
   // Anything we cannot account for (a workload call_at timer, a harness
   // callback) would be silently dropped by restore, so refuse.
   if (armed != sim_.queue().size()) {
-    throw std::runtime_error(
+    throw SnapshotUnsupported(
         "machine snapshot: " + std::to_string(sim_.queue().size()) +
         " pending events but only " + std::to_string(armed) +
         " tracked by the machine (external call_at timers pending?)");
@@ -1300,13 +1251,12 @@ MachineSnapshot Machine::snapshot() {
   s.last_thermal_update = last_thermal_update_;
   s.thermal_grid = thermal_grid_;
   s.thermal_carry = carry_joules_;
-  s.energy = energy_.save_state();
+  s.energy = energy_;
   s.counters = tracer_.counters();
   s.tm_active = tm_active_;
   s.tm_events = tm_events_;
   s.window_node_joules = window_node_joules_;
   s.window_start = window_start_;
-  s.live_threads = live_threads_;
   return s;
 }
 
@@ -1344,35 +1294,17 @@ void Machine::restore(const MachineSnapshot& s) {
   refresh_at_ = (last_thermal_update_ / config_.thermal_monitor_period + 1) *
                 config_.thermal_monitor_period;
   carry_joules_ = s.thermal_carry;
-  energy_.restore_state(s.energy);
+  energy_ = s.energy;
   tracer_.counters() = s.counters;
   tm_active_ = s.tm_active;
   tm_events_ = s.tm_events;
   window_node_joules_ = s.window_node_joules;
   window_start_ = s.window_start;
-  live_threads_ = s.live_threads;
 
   for (std::size_t i = 0; i < threads_.size(); ++i) {
     Thread& t = *threads_[i];
-    const MachineSnapshot::ThreadSnap& ts = s.threads[i];
-    t.set_state(ts.state);
-    t.set_affinity(ts.affinity);
-    t.set_injection_pin(ts.injection_pin);
-    t.set_injection_suspended(ts.injection_suspended);
-    t.set_burst_remaining(ts.burst_remaining);
-    t.set_activity(ts.activity);
-    t.set_cpu_seconds(ts.cpu_seconds);
-    t.set_work_completed(ts.work_completed);
-    t.set_bursts_completed(ts.bursts_completed);
-    t.set_times_scheduled(ts.times_scheduled);
-    t.set_injections_suffered(ts.injections_suffered);
-    t.set_created_at(ts.created_at);
-    t.set_finished_at(ts.finished_at);
-    t.set_estcpu(ts.estcpu);
-    t.set_sleep_started_at(ts.sleep_started_at);
-    t.set_last_core(ts.last_core);
-    t.rng() = ts.rng;
-    t.behavior().load_state(ts.behavior_state);
+    t.restore_dynamic_state(s.threads[i].state);
+    t.behavior().load_state(s.threads[i].behavior_state);
   }
 
   // Rebuild the run queue: a fresh scheduler, then enqueue in the captured
@@ -1385,30 +1317,15 @@ void Machine::restore(const MachineSnapshot& s) {
   }
   for (ThreadId id : s.run_queue) scheduler_->enqueue(*threads_.at(id));
 
+  const auto thread_of = [this](ThreadId id) {
+    return id != kInvalidThread ? threads_.at(id).get() : nullptr;
+  };
   for (std::size_t i = 0; i < cores_.size(); ++i) {
     Core& c = cores_[i];
     const MachineSnapshot::CoreSnap& cs = s.cores[i];
-    c.current =
-        cs.current != kInvalidThread ? threads_.at(cs.current).get() : nullptr;
-    c.last_thread = cs.last_thread;
-    c.activity = cs.activity;
-    c.injected_idle = cs.injected_idle;
-    c.injection_victim = cs.injection_victim != kInvalidThread
-                             ? threads_.at(cs.injection_victim).get()
-                             : nullptr;
-    c.op = cs.op;
-    c.dvfs_level = cs.dvfs_level;
-    c.duty_step_user = cs.duty_step_user;
-    c.segment_start = cs.segment_start;
-    c.quantum_deadline = cs.quantum_deadline;
-    c.quantum_ran_seconds = cs.quantum_ran_seconds;
-    c.idle_settled_at = cs.idle_settled_at;
-    c.busy_seconds = cs.busy_seconds;
-    c.idle_seconds = cs.idle_seconds;
-    c.injected_idle_seconds = cs.injected_idle_seconds;
-    c.dispatches = cs.dispatches;
-    c.injections = cs.injections;
-    c.context_switches = cs.context_switches;
+    static_cast<CoreDynamicState&>(c) = cs.state;
+    c.current = thread_of(cs.current);
+    c.injection_victim = thread_of(cs.injection_victim);
     c.timer = sim::EventHandle();
     c.transition_timer = sim::EventHandle();
   }
@@ -1443,7 +1360,7 @@ void Machine::restore(const MachineSnapshot& s) {
     if (cs.timer.armed) {
       // An executing core's timer ends the segment; an injected-idle core's
       // timer ends the idle quantum (mirrors plan_segment / enter_idle).
-      if (cs.injected_idle) {
+      if (cs.state.injected_idle) {
         arms.push_back({cs.timer.seq, [this, &c, at = cs.timer.at] {
                           c.timer = sim_.at(at, [this, &c](sim::SimTime) {
                             end_injected_idle(c);
@@ -1458,13 +1375,13 @@ void Machine::restore(const MachineSnapshot& s) {
       }
     }
     if (cs.transition_timer.armed) {
-      if (cs.activity == CoreActivity::kIdleEntering) {
+      if (cs.state.activity == CoreActivity::kIdleEntering) {
         arms.push_back(
             {cs.transition_timer.seq, [this, &c, at = cs.transition_timer.at] {
                c.transition_timer = sim_.at(
                    at, [this, &c](sim::SimTime) { finish_idle_entry(c); });
              }});
-      } else if (cs.activity == CoreActivity::kIdleExiting) {
+      } else if (cs.state.activity == CoreActivity::kIdleExiting) {
         arms.push_back(
             {cs.transition_timer.seq, [this, &c, at = cs.transition_timer.at] {
                c.transition_timer = sim_.at(

@@ -169,7 +169,6 @@ class Machine {
   Thread& thread(ThreadId id) { return *threads_.at(id); }
   const Thread& thread(ThreadId id) const { return *threads_.at(id); }
   std::size_t thread_count() const { return threads_.size(); }
-  std::size_t live_thread_count() const { return live_threads_; }
 
   // --- actuation (thermal management knobs) --------------------------------
   void set_injection_hook(InjectionHook* hook) { hook_ = hook; }
@@ -279,8 +278,8 @@ class Machine {
 
   // --- snapshot / warm-start ------------------------------------------------
   /// Capture the machine's complete dynamic state (see MachineSnapshot for
-  /// the fork ≡ replay contract). Throws std::runtime_error when the machine
-  /// is not snapshot-capable: a power meter or trace sink attached, the
+  /// the fork ≡ replay contract). Throws SnapshotUnsupported (a
+  /// std::runtime_error) when the machine is not snapshot-capable: a power meter or trace sink attached, the
   /// reference thermal stepper active, an injection hook installed, a
   /// scheduler or thread behavior without snapshot support, or pending
   /// events the machine does not track (e.g. workload call_at timers) — the
@@ -314,6 +313,10 @@ class Machine {
   void suspend_for_injection(Thread& t, CoreId where, sim::SimTime quantum);
   void stop_current(Core& core, sim::SimTime now);
   void checkpoint_segment(Core& core);
+  /// Retire the running thread's work over [segment_start, now) at the
+  /// core's current rate: its CPU time, completed work and remaining burst,
+  /// and the core's busy time. Returns the elapsed seconds.
+  double retire_segment(Core& core, sim::SimTime now);
   bool try_kick_idle_core(Thread& t);
   bool try_preempt_for_kernel_thread(Thread& t);
   void finish_thread(Core& core, Thread& t);
@@ -407,7 +410,6 @@ class Machine {
 
   std::vector<Core> cores_;
   std::vector<std::unique_ptr<Thread>> threads_;
-  std::size_t live_threads_ = 0;
 
   // Thermal grid: the network holds the state at thermal_grid_ (whole
   // substeps past the last re-anchor); carry_joules_ is each node's energy

@@ -4,10 +4,12 @@
 #include <stdexcept>
 #include <vector>
 
+#include "sched/snapshot.hpp"
+
 namespace dimetrodon::sched {
 
 void Scheduler::snapshot_queue(std::vector<Thread*>& /*out*/) const {
-  throw std::runtime_error(
+  throw SnapshotUnsupported(
       "this scheduler does not support machine snapshots");
 }
 

@@ -1,11 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "obs/counters.hpp"
 #include "power/energy.hpp"
-#include "power/power_model.hpp"
 #include "sched/core.hpp"
 #include "sched/thread.hpp"
 #include "sim/rng.hpp"
@@ -13,6 +13,14 @@
 #include "thermal/rc_network.hpp"
 
 namespace dimetrodon::sched {
+
+/// Machine::snapshot()'s refusal: the machine holds state a snapshot cannot
+/// capture (see Machine::snapshot for the list). A caller with a cold path
+/// to fall back on catches this type and nothing broader.
+class SnapshotUnsupported : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// In-memory checkpoint of a Machine's complete dynamic state, captured by
 /// Machine::snapshot() and replayed by Machine::restore() into a freshly
@@ -38,6 +46,11 @@ namespace dimetrodon::sched {
 /// can exceed the replay's by one per physical core), and anything
 /// precondition-excluded by Machine::snapshot (meter, trace sink, reference
 /// stepper, an attached injection hook).
+///
+/// Threads and cores are copied whole (ThreadDynamicState, CoreDynamicState),
+/// so no field list is kept here. Both types are trivially copyable: a
+/// snapshot shared across sweep lanes must not hold an EventHandle, whose
+/// owner count is not atomic.
 struct MachineSnapshot {
   /// One captured pending event: scheduled time plus tie-break rank.
   struct EventStamp {
@@ -46,46 +59,19 @@ struct MachineSnapshot {
     std::uint64_t seq = 0;
   };
 
+  /// A thread's whole dynamic state plus its behavior's saved state.
   struct ThreadSnap {
-    ThreadState state = ThreadState::kRunnable;
-    CoreId affinity = kNoCore;
-    CoreId injection_pin = kNoCore;
-    bool injection_suspended = false;
-    double burst_remaining = 0.0;
-    double activity = 1.0;
-    double cpu_seconds = 0.0;
-    double work_completed = 0.0;
-    std::uint64_t bursts_completed = 0;
-    std::uint64_t times_scheduled = 0;
-    std::uint64_t injections_suffered = 0;
-    sim::SimTime created_at = 0;
-    sim::SimTime finished_at = -1;
-    double estcpu = 0.0;
-    sim::SimTime sleep_started_at = -1;
-    CoreId last_core = kNoCore;
-    sim::Rng rng{0};
+    ThreadDynamicState state;
     std::vector<double> behavior_state;
   };
 
+  /// A core's whole value state plus the four members that point into the
+  /// machine, translated: the running thread and the injection victim to
+  /// thread ids, the two timers to their queue places.
   struct CoreSnap {
+    CoreDynamicState state;
     ThreadId current = kInvalidThread;
-    ThreadId last_thread = kInvalidThread;
-    CoreActivity activity = CoreActivity::kIdle;
-    bool injected_idle = false;
     ThreadId injection_victim = kInvalidThread;
-    power::CoreOperatingPoint op;
-    std::size_t dvfs_level = 0;
-    std::size_t duty_step_user = 8;
-    sim::SimTime segment_start = 0;
-    sim::SimTime quantum_deadline = 0;
-    double quantum_ran_seconds = 0.0;
-    sim::SimTime idle_settled_at = 0;
-    double busy_seconds = 0.0;
-    double idle_seconds = 0.0;
-    double injected_idle_seconds = 0.0;
-    std::uint64_t dispatches = 0;
-    std::uint64_t injections = 0;
-    std::uint64_t context_switches = 0;
     EventStamp timer;             // segment end / injected-idle-quantum end
     EventStamp transition_timer;  // C-state entry/exit completion
   };
@@ -112,7 +98,7 @@ struct MachineSnapshot {
   sim::SimTime thermal_grid = 0;
   std::vector<double> thermal_carry;
 
-  power::EnergyAccountant::State energy;
+  power::EnergyAccountant energy;
   obs::CounterRegistry counters;
 
   std::vector<bool> tm_active;
@@ -120,7 +106,6 @@ struct MachineSnapshot {
   std::vector<double> window_node_joules;
   sim::SimTime window_start = 0;
 
-  std::size_t live_threads = 0;
   std::vector<ThreadSnap> threads;
   std::vector<CoreSnap> cores;
   /// Scheduler run-queue contents in dequeue order.

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -77,6 +78,35 @@ class ThreadBehavior {
   virtual void load_state(const std::vector<double>& in) { (void)in; }
 };
 
+/// Everything about a thread that changes while the machine runs, as one
+/// trivially copyable value: Machine::snapshot() and restore() copy it
+/// whole, so a field added here is captured with no further code.
+struct ThreadDynamicState {
+  ThreadState state = ThreadState::kRunnable;
+  CoreId affinity = kNoCore;
+  CoreId injection_pin = kNoCore;
+  bool injection_suspended = false;
+
+  double burst_remaining = 0.0;
+  double activity = 1.0;
+  double cpu_seconds = 0.0;
+  double work_completed = 0.0;
+  std::uint64_t bursts_completed = 0;
+  std::uint64_t times_scheduled = 0;
+  std::uint64_t injections_suffered = 0;
+  sim::SimTime created_at = 0;
+  sim::SimTime finished_at = -1;
+
+  double estcpu = 0.0;
+  sim::SimTime sleep_started_at = -1;
+  CoreId last_core = kNoCore;
+
+  sim::Rng rng{0};
+};
+// One snapshot is shared read-only across sweep lanes (runner::SnapshotCache),
+// so it must hold plain values: nothing with an owner count or a pointer.
+static_assert(std::is_trivially_copyable_v<ThreadDynamicState>);
+
 /// Kernel thread control block. Owned by the Machine; scheduler and policies
 /// hold non-owning pointers.
 class Thread {
@@ -87,78 +117,82 @@ class Thread {
         name_(std::move(name)),
         cls_(cls),
         nice_(nice),
-        behavior_(std::move(behavior)),
-        rng_(std::move(rng)) {}
+        behavior_(std::move(behavior)) {
+    dyn_.rng = rng;
+  }
 
   ThreadId id() const { return id_; }
   const std::string& name() const { return name_; }
   ThreadClass thread_class() const { return cls_; }
   int nice() const { return nice_; }
 
-  ThreadState state() const { return state_; }
-  void set_state(ThreadState s) { state_ = s; }
+  /// The whole mutable state, for Machine::snapshot() and restore().
+  const ThreadDynamicState& dynamic_state() const { return dyn_; }
+  void restore_dynamic_state(const ThreadDynamicState& s) { dyn_ = s; }
+
+  ThreadState state() const { return dyn_.state; }
+  void set_state(ThreadState s) { dyn_.state = s; }
 
   /// Hard affinity requested at creation (kNoCore = any).
-  CoreId affinity() const { return affinity_; }
-  void set_affinity(CoreId c) { affinity_ = c; }
+  CoreId affinity() const { return dyn_.affinity; }
+  void set_affinity(CoreId c) { dyn_.affinity = c; }
 
   /// Temporary pin applied while an injected idle quantum displaces this
   /// thread (paper §3.1: the preempted thread is pinned on the run queue so
   /// no other core runs it, then unpinned when the idle quantum ends).
-  CoreId injection_pin() const { return injection_pin_; }
-  void set_injection_pin(CoreId c) { injection_pin_ = c; }
+  CoreId injection_pin() const { return dyn_.injection_pin; }
+  void set_injection_pin(CoreId c) { dyn_.injection_pin = c; }
 
   /// True while the thread is descheduled by an injected idle quantum under
   /// suspension semantics; shields it from external wakeups until the
   /// quantum expires.
-  bool injection_suspended() const { return injection_suspended_; }
-  void set_injection_suspended(bool s) { injection_suspended_ = s; }
+  bool injection_suspended() const { return dyn_.injection_suspended; }
+  void set_injection_suspended(bool s) { dyn_.injection_suspended = s; }
 
   /// Core this thread may run on right now (combines affinity + pin).
   bool runnable_on(CoreId core) const {
-    if (injection_pin_ != kNoCore && injection_pin_ != core) return false;
-    if (affinity_ != kNoCore && affinity_ != core) return false;
+    if (dyn_.injection_pin != kNoCore && dyn_.injection_pin != core) {
+      return false;
+    }
+    if (dyn_.affinity != kNoCore && dyn_.affinity != core) return false;
     return true;
   }
 
   ThreadBehavior& behavior() { return *behavior_; }
-  sim::Rng& rng() { return rng_; }
+  sim::Rng& rng() { return dyn_.rng; }
 
   // --- burst accounting (managed by the Machine) ---
-  double burst_remaining() const { return burst_remaining_; }
-  void set_burst_remaining(double w) { burst_remaining_ = w; }
-  double activity() const { return activity_; }
-  void set_activity(double a) { activity_ = a; }
+  double burst_remaining() const { return dyn_.burst_remaining; }
+  void set_burst_remaining(double w) { dyn_.burst_remaining = w; }
+  double activity() const { return dyn_.activity; }
+  void set_activity(double a) { dyn_.activity = a; }
 
-  double cpu_seconds_consumed() const { return cpu_seconds_; }
-  void add_cpu_seconds(double s) { cpu_seconds_ += s; }
-  void set_cpu_seconds(double s) { cpu_seconds_ = s; }
-  double work_completed() const { return work_completed_; }
-  void add_work_completed(double w) { work_completed_ += w; }
-  void set_work_completed(double w) { work_completed_ = w; }
-  std::uint64_t bursts_completed() const { return bursts_completed_; }
-  void increment_bursts_completed() { ++bursts_completed_; }
-  void set_bursts_completed(std::uint64_t n) { bursts_completed_ = n; }
-  std::uint64_t times_scheduled() const { return times_scheduled_; }
-  void increment_times_scheduled() { ++times_scheduled_; }
-  void set_times_scheduled(std::uint64_t n) { times_scheduled_ = n; }
-  std::uint64_t injections_suffered() const { return injections_suffered_; }
-  void increment_injections_suffered() { ++injections_suffered_; }
-  void set_injections_suffered(std::uint64_t n) { injections_suffered_ = n; }
+  double cpu_seconds_consumed() const { return dyn_.cpu_seconds; }
+  void add_cpu_seconds(double s) { dyn_.cpu_seconds += s; }
+  double work_completed() const { return dyn_.work_completed; }
+  void add_work_completed(double w) { dyn_.work_completed += w; }
+  std::uint64_t bursts_completed() const { return dyn_.bursts_completed; }
+  void increment_bursts_completed() { ++dyn_.bursts_completed; }
+  std::uint64_t times_scheduled() const { return dyn_.times_scheduled; }
+  void increment_times_scheduled() { ++dyn_.times_scheduled; }
+  std::uint64_t injections_suffered() const {
+    return dyn_.injections_suffered;
+  }
+  void increment_injections_suffered() { ++dyn_.injections_suffered; }
 
-  sim::SimTime created_at() const { return created_at_; }
-  void set_created_at(sim::SimTime t) { created_at_ = t; }
-  sim::SimTime finished_at() const { return finished_at_; }
-  void set_finished_at(sim::SimTime t) { finished_at_ = t; }
+  sim::SimTime created_at() const { return dyn_.created_at; }
+  void set_created_at(sim::SimTime t) { dyn_.created_at = t; }
+  sim::SimTime finished_at() const { return dyn_.finished_at; }
+  void set_finished_at(sim::SimTime t) { dyn_.finished_at = t; }
 
   // --- 4.4BSD scheduler bookkeeping ---
-  double estcpu() const { return estcpu_; }
-  void set_estcpu(double e) { estcpu_ = e; }
+  double estcpu() const { return dyn_.estcpu; }
+  void set_estcpu(double e) { dyn_.estcpu = e; }
   /// When the thread last entered a sleeping state (-1 if never slept).
-  sim::SimTime sleep_started_at() const { return sleep_started_at_; }
-  void set_sleep_started_at(sim::SimTime t) { sleep_started_at_ = t; }
-  CoreId last_core() const { return last_core_; }
-  void set_last_core(CoreId c) { last_core_ = c; }
+  sim::SimTime sleep_started_at() const { return dyn_.sleep_started_at; }
+  void set_sleep_started_at(sim::SimTime t) { dyn_.sleep_started_at = t; }
+  CoreId last_core() const { return dyn_.last_core; }
+  void set_last_core(CoreId c) { dyn_.last_core = c; }
 
  private:
   ThreadId id_;
@@ -166,26 +200,7 @@ class Thread {
   ThreadClass cls_;
   int nice_;
   std::unique_ptr<ThreadBehavior> behavior_;
-  sim::Rng rng_;
-
-  ThreadState state_ = ThreadState::kRunnable;
-  CoreId affinity_ = kNoCore;
-  CoreId injection_pin_ = kNoCore;
-  bool injection_suspended_ = false;
-
-  double burst_remaining_ = 0.0;
-  double activity_ = 1.0;
-  double cpu_seconds_ = 0.0;
-  double work_completed_ = 0.0;
-  std::uint64_t bursts_completed_ = 0;
-  std::uint64_t times_scheduled_ = 0;
-  std::uint64_t injections_suffered_ = 0;
-  sim::SimTime created_at_ = 0;
-  sim::SimTime finished_at_ = -1;
-
-  double estcpu_ = 0.0;
-  sim::SimTime sleep_started_at_ = -1;
-  CoreId last_core_ = kNoCore;
+  ThreadDynamicState dyn_;
 };
 
 }  // namespace dimetrodon::sched

@@ -6,6 +6,10 @@
 
 namespace dimetrodon::trace {
 
+namespace {
+
+/// Bucket-average downsampling: at most `max_points` points, each the mean
+/// of one equal-width time bucket.
 std::vector<SeriesPoint> downsample(const std::vector<SeriesPoint>& series,
                                     std::size_t max_points) {
   if (max_points == 0 || series.size() <= max_points) return series;
@@ -37,27 +41,7 @@ std::vector<SeriesPoint> downsample(const std::vector<SeriesPoint>& series,
   return out;
 }
 
-std::vector<SeriesPoint> ema(const std::vector<SeriesPoint>& series,
-                             double tau) {
-  std::vector<SeriesPoint> out;
-  out.reserve(series.size());
-  double state = 0.0;
-  bool first = true;
-  double prev_t = 0.0;
-  for (const auto& p : series) {
-    if (first) {
-      state = p.value;
-      first = false;
-    } else {
-      const double dt = p.t - prev_t;
-      const double alpha = tau <= 0.0 ? 1.0 : 1.0 - std::exp(-dt / tau);
-      state += alpha * (p.value - state);
-    }
-    prev_t = p.t;
-    out.push_back(SeriesPoint{p.t, state});
-  }
-  return out;
-}
+}  // namespace
 
 std::string ascii_chart(const std::vector<SeriesPoint>& series,
                         std::size_t width, std::size_t height,

@@ -11,21 +11,12 @@ struct SeriesPoint {
   double value;
 };
 
-/// Bucket-average downsampling: reduce a dense series to at most
-/// `max_points` points by averaging within equal-width time buckets.
-/// Preserves the mean exactly; used to turn 3 kHz meter traces into
-/// plottable figures. Input must be sorted by t.
-std::vector<SeriesPoint> downsample(const std::vector<SeriesPoint>& series,
-                                    std::size_t max_points);
-
-/// Exponential moving average with time-constant `tau` (same units as t):
-/// the smoothing a polling data-acquisition loop applies implicitly.
-std::vector<SeriesPoint> ema(const std::vector<SeriesPoint>& series,
-                             double tau);
-
 /// Render a series as a fixed-height ASCII chart (rows of '#' columns), the
 /// in-terminal rendition of the paper's figures. Returns a multi-line
-/// string; `width` columns by `height` rows plus an axis line.
+/// string; at most `width` columns by `height` rows plus an axis line. A
+/// series longer than `width` is bucket-averaged into `width` equal-width
+/// time buckets (one column each, in time order), so a 3 kHz trace keeps
+/// its mean. Input must be sorted by t.
 std::string ascii_chart(const std::vector<SeriesPoint>& series,
                         std::size_t width, std::size_t height,
                         const std::string& title = "");

@@ -70,8 +70,6 @@ class CoolProcess final : public Workload {
   }
   sched::ThreadId thread_id() const { return threads_.front(); }
 
-  const CoolBurstLog& burst_log() const { return *log_; }
-
   /// Mean wall-clock stretch of completed bursts relative to the nominal
   /// burn time (1.0 = ran uninterrupted) — the "cool process throughput"
   /// axis of the paper's Figure 5 inverts this.

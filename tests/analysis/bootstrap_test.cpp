@@ -67,32 +67,5 @@ TEST(BootstrapTest, RejectsInvalidInputs) {
   EXPECT_THROW(bootstrap_mean_ci({1.0, 2.0}, 1.0), std::invalid_argument);
 }
 
-TEST(HistogramTest, CountsSumToSampleSize) {
-  const std::vector<double> data{1, 2, 2, 3, 3, 3, 4, 4, 4, 4};
-  const auto h = make_histogram(data, 4);
-  std::size_t total = 0;
-  for (const auto c : h.counts) total += c;
-  EXPECT_EQ(total, data.size());
-  EXPECT_DOUBLE_EQ(h.lo, 1.0);
-  EXPECT_DOUBLE_EQ(h.hi, 4.0);
-}
-
-TEST(HistogramTest, MaxValueLandsInLastBin) {
-  const auto h = make_histogram({0.0, 1.0}, 10);
-  EXPECT_EQ(h.counts.front(), 1u);
-  EXPECT_EQ(h.counts.back(), 1u);
-}
-
-TEST(HistogramTest, ConstantDataSingleBin) {
-  const auto h = make_histogram({5.0, 5.0, 5.0}, 3);
-  EXPECT_EQ(h.counts[0], 3u);
-  EXPECT_DOUBLE_EQ(h.bin_width(), 0.0);
-}
-
-TEST(HistogramTest, RejectsBadArguments) {
-  EXPECT_THROW(make_histogram({}, 3), std::invalid_argument);
-  EXPECT_THROW(make_histogram({1.0}, 0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace dimetrodon::analysis

@@ -526,5 +526,76 @@ TEST(ClusterAdminTest, RemoveDetachesOnceQueueDrainsAndJoinReplaces) {
   EXPECT_EQ(fleet->admin_state(1), Cluster::AdminState::kDetached);
 }
 
+/// The kNodeJoin event of a fig10-shaped churn join: 2x2 racks on the CRAC
+/// loop with fig10's compressed thermal constants, open-loop web, an
+/// injecting or governed fleet, and a fan-0.85 joiner warmed for 500 ms.
+obs::TraceEvent fig10_shaped_join(bool meter, bool governed) {
+  sched::MachineConfig machine;
+  machine.enable_meter = meter;
+  machine.floorplan.hs_capacitance = 15.0;
+  machine.prochot_c = 62.0;
+  machine.prochot_release_c = 55.0;
+  workload::WebWorkload::Config web = ClusterConfig::open_loop_web();
+  web.demand_mean_s = 0.005;
+  control::GovernorSpec governor;
+  governor.kind = control::GovernorKind::kHysteresis;
+  auto sink = std::make_shared<obs::RingBufferSink>();
+  FleetSpec spec = FleetSpec::racks(2)
+                       .nodes_per_rack(2)
+                       .with_machine(machine)
+                       .with_web(web)
+                       .with_cooling(0.9, 0.55)
+                       .with_crac(RackParams{})
+                       .with_load(600.0)
+                       .with_telemetry(sim::from_ms(20))
+                       .with_trace_sink([sink] { return sink; });
+  NodeSpec joiner;
+  joiner.fan_speed_fraction = 0.85;
+  if (governed) {
+    spec.with_governor(governor);
+    joiner.governor = governor;
+  } else {
+    spec.with_injection_gradient(0.5);
+    joiner.injection_probability = 0.3;
+  }
+  auto fleet = spec.make_cluster();
+  fleet->run(sim::from_sec(1));
+  fleet->admin_join(joiner, sim::from_ms(500));
+  for (const obs::TraceEvent& e : sink->snapshot()) {
+    if (e.kind == obs::EventKind::kNodeJoin) return e;
+  }
+  ADD_FAILURE() << "no kNodeJoin event";
+  return {};
+}
+
+TEST(ClusterAdminTest, Fig10ShapedJoinFallsBackColdOnlyOnASnapshotRefusal) {
+  // A refused snapshot is the one way to a cold join; any other error would
+  // propagate out of admin_join. Two refusals reach a fig10-shaped join:
+  // the power meter (a precondition) and, with the meter off, the web
+  // workload, whose threads keep their queues in the workload object and so
+  // have no snapshot support. Every Cluster node runs that workload, so its
+  // joins are cold until WebWorkload can be snapshotted; this test then
+  // flips to expect arg == 1 with the meter off.
+  sched::MachineConfig mc;
+  mc.enable_meter = false;
+  sched::Machine web_node(mc);
+  workload::WebWorkload web(ClusterConfig::open_loop_web());
+  web.deploy(web_node);
+  web_node.run_until(sim::from_ms(500));
+  EXPECT_THROW(web_node.snapshot(), sched::SnapshotUnsupported);
+  mc.enable_meter = true;
+  sched::Machine metered(mc);
+  EXPECT_THROW(metered.snapshot(), sched::SnapshotUnsupported);
+
+  for (const bool governed : {false, true}) {
+    for (const bool meter : {false, true}) {
+      const obs::TraceEvent join = fig10_shaped_join(meter, governed);
+      EXPECT_EQ(join.arg, 0u) << "governed " << governed << " meter " << meter;
+      EXPECT_EQ(join.core, 4u);
+      EXPECT_DOUBLE_EQ(join.value, 0.5);  // the warmup span asked for
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dimetrodon::cluster

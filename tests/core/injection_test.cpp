@@ -41,9 +41,8 @@ TEST(BernoulliInjectionTest, ReturnsConfiguredQuantum) {
 }
 
 TEST(BernoulliInjectionTest, IndependentOfThreadId) {
-  // Bernoulli keeps no per-thread state; forget() must be harmless.
+  // Bernoulli keeps no per-thread state.
   BernoulliInjection policy{sim::Rng(1)};
-  policy.forget(42);
   const InjectionParams params{0.5, sim::from_ms(5)};
   EXPECT_NO_THROW((void)policy.decide(42, params, 0));
 }
@@ -104,14 +103,6 @@ TEST(StratifiedInjectionTest, PerThreadAccumulatorsIndependent) {
   (void)policy.decide(1, params, 0);
   EXPECT_FALSE(policy.decide(2, params, 0).has_value());
   EXPECT_TRUE(policy.decide(2, params, 0).has_value());
-}
-
-TEST(StratifiedInjectionTest, ForgetResetsAccumulator) {
-  StratifiedInjection policy(/*stagger_phases=*/false);
-  const InjectionParams params{0.5, sim::from_ms(10)};
-  (void)policy.decide(1, params, 0);  // acc = 0.5
-  policy.forget(1);
-  EXPECT_FALSE(policy.decide(1, params, 0).has_value());  // acc = 0.5 again
 }
 
 }  // namespace

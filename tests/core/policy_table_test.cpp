@@ -45,14 +45,6 @@ TEST(PolicyTableTest, KernelThreadsExemptByDefault) {
   EXPECT_FALSE(table.params_for(*k).enabled());
 }
 
-TEST(PolicyTableTest, KernelExemptionCanBeLifted) {
-  PolicyTable table;
-  table.set_global(InjectionParams{0.5, sim::from_ms(10)});
-  table.set_exempt_kernel_threads(false);
-  auto k = make_thread(2, sched::ThreadClass::kKernel);
-  EXPECT_TRUE(table.params_for(*k).enabled());
-}
-
 TEST(PolicyTableTest, PerThreadOverrideBeatsGlobal) {
   PolicyTable table;
   table.set_global(InjectionParams{0.5, sim::from_ms(10)});
@@ -78,16 +70,6 @@ TEST(PolicyTableTest, ExplicitOverrideAppliesToKernelThreads) {
   table.set_thread(4, InjectionParams{0.25, sim::from_ms(5)});
   auto k = make_thread(4, sched::ThreadClass::kKernel);
   EXPECT_TRUE(table.params_for(*k).enabled());
-}
-
-TEST(PolicyTableTest, ClearRestoresGlobal) {
-  PolicyTable table;
-  table.set_global(InjectionParams{0.5, sim::from_ms(10)});
-  table.set_thread(1, InjectionParams{0.9, sim::from_ms(1)});
-  table.clear_thread(1);
-  auto t = make_thread(1);
-  EXPECT_DOUBLE_EQ(table.params_for(*t).probability, 0.5);
-  EXPECT_FALSE(table.has_thread_override(1));
 }
 
 TEST(PolicyTableTest, ResetDisablesEverything) {

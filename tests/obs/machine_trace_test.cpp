@@ -1,6 +1,6 @@
 // Integration of the obs subsystem with the simulated machine: the zero-sink
 // fast path must not change simulated behavior, counters must agree with the
-// machine's own per-core statistics, and exported injected-idle spans must
+// machine's own per-thread statistics, and exported injected-idle spans must
 // sum to the counter registry's injected-idle nanoseconds exactly.
 #include <gtest/gtest.h>
 
@@ -63,20 +63,28 @@ TEST(MachineTrace, CountersAgreeWithMachineCoreStatistics) {
   sched::Machine machine(traced_config(sink));
   run_injected(machine, 0.5, sim::from_ms(10));
 
+  // The registry is the one per-core count of dispatches, switches and
+  // injections; the machine's threads count the same dispatches and
+  // injections from their side.
   std::uint64_t dispatches = 0, switches = 0, injections = 0;
   for (std::size_t i = 0; i < machine.num_cores(); ++i) {
-    const auto& core = machine.core(static_cast<sched::CoreId>(i));
-    dispatches += core.dispatches;
-    switches += core.context_switches;
-    injections += core.injections;
     const auto& cc = machine.counters().core(i);
-    EXPECT_EQ(cc.dispatches, core.dispatches) << "core " << i;
-    EXPECT_EQ(cc.injections, core.injections) << "core " << i;
+    dispatches += cc.dispatches;
+    switches += cc.context_switches;
+    injections += cc.injections;
+  }
+  std::uint64_t scheduled = 0, suffered = 0;
+  for (sched::ThreadId id = 0; id < machine.thread_count(); ++id) {
+    scheduled += machine.thread(id).times_scheduled();
+    suffered += machine.thread(id).injections_suffered();
   }
   const obs::CounterTotals totals = machine.counters().totals();
   EXPECT_EQ(totals.dispatches, dispatches);
   EXPECT_EQ(totals.context_switches, switches);
   EXPECT_EQ(totals.injections, injections);
+  EXPECT_EQ(totals.dispatches, scheduled);
+  EXPECT_EQ(totals.injections, suffered);
+  EXPECT_GT(totals.injections, 0u);
   EXPECT_GT(totals.cstate_entries, 0u);
   EXPECT_GT(totals.c1e_residency_ns, 0u);
   EXPECT_GE(totals.idle_ns, totals.c1e_residency_ns);
@@ -102,8 +110,12 @@ TEST(MachineTrace, ZeroSinkFastPathDoesNotPerturbSimulation) {
     const auto& b = plain.core(static_cast<sched::CoreId>(i));
     EXPECT_EQ(a.busy_seconds, b.busy_seconds) << "core " << i;
     EXPECT_EQ(a.injected_idle_seconds, b.injected_idle_seconds) << "core " << i;
-    EXPECT_EQ(a.dispatches, b.dispatches) << "core " << i;
-    EXPECT_EQ(a.injections, b.injections) << "core " << i;
+    EXPECT_EQ(traced.counters().core(i).dispatches,
+              plain.counters().core(i).dispatches)
+        << "core " << i;
+    EXPECT_EQ(traced.counters().core(i).injections,
+              plain.counters().core(i).injections)
+        << "core " << i;
   }
 
   // Counters accrue identically either way, except the trace-time sensor

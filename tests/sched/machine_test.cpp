@@ -254,7 +254,7 @@ TEST(MachineTest, ContextSwitchesCountedOnMultiplexedCore) {
                   std::make_unique<FixedWork>(0.5), 0);
   m.run_for(sim::from_sec(2));
   // 1 s of joint work in 100 ms slices: ~10 switches.
-  EXPECT_GE(m.core(0).context_switches, 8u);
+  EXPECT_GE(m.counters().core(0).context_switches, 8u);
 }
 
 TEST(MachineTest, BusyAndIdleSecondsAccount) {
@@ -267,7 +267,7 @@ TEST(MachineTest, BusyAndIdleSecondsAccount) {
   EXPECT_NEAR(c.busy_seconds, 1.0, 0.02);
   // Idle seconds only accumulate at idle-exit; at minimum the core spent the
   // pre-thread and post-thread time idle or entering idle.
-  EXPECT_GE(c.dispatches, 1u);
+  EXPECT_GE(m.counters().core(0).dispatches, 1u);
 }
 
 TEST(MachineTest, RunUntilConditionStopsEarly) {

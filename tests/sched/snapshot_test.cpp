@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -113,7 +114,23 @@ void expect_machines_bit_identical(Machine& a, Machine& b) {
     EXPECT_EQ(a.thread(id).bursts_completed(), b.thread(id).bursts_completed())
         << "thread " << id;
     EXPECT_EQ(a.thread(id).state(), b.thread(id).state()) << "thread " << id;
+    EXPECT_EQ(a.thread(id).times_scheduled(), b.thread(id).times_scheduled())
+        << "thread " << id;
+    EXPECT_EQ(a.thread(id).last_core(), b.thread(id).last_core())
+        << "thread " << id;
+    EXPECT_EQ(a.thread(id).injection_pin(), b.thread(id).injection_pin())
+        << "thread " << id;
+    EXPECT_EQ(a.thread(id).injection_suspended(),
+              b.thread(id).injection_suspended())
+        << "thread " << id;
   }
+  ASSERT_EQ(a.num_cores(), b.num_cores());
+  for (CoreId i = 0; i < a.num_cores(); ++i) {
+    EXPECT_EQ(a.core(i).busy_seconds, b.core(i).busy_seconds) << "core " << i;
+    EXPECT_EQ(a.core(i).injected_idle_seconds, b.core(i).injected_idle_seconds)
+        << "core " << i;
+  }
+  EXPECT_EQ(a.simulator().events_executed(), b.simulator().events_executed());
   const auto& ca = a.counters();
   const auto& cb = b.counters();
   for (std::size_t i = 0; i < ca.num_cores(); ++i) {
@@ -240,6 +257,126 @@ TEST(MachineSnapshotTest, ForkWhileTheMonitorIsParkedMatchesReplay) {
   obs::CounterTotals b = forked.counters().totals();
   EXPECT_EQ(a.monitor_ticks, b.monitor_ticks);
   EXPECT_EQ(a.clock_refreshes, b.clock_refreshes);
+}
+
+/// Test hook: injects `quantum` at the first `count` dispatches at or after
+/// `from`, and records when the first one landed.
+class InjectAfter final : public InjectionHook {
+ public:
+  InjectAfter(sim::SimTime from, sim::SimTime quantum, int count)
+      : from_(from), quantum_(quantum), left_(count) {}
+
+  std::optional<sim::SimTime> before_dispatch(const Thread&, CoreId,
+                                              sim::SimTime now) override {
+    if (now < from_ || left_ == 0) return std::nullopt;
+    if (first_ < 0) first_ = now;
+    --left_;
+    return quantum_;
+  }
+  void on_injection_complete(const Thread&, CoreId, sim::SimTime) override {}
+
+  sim::SimTime first() const { return first_; }
+
+ private:
+  sim::SimTime from_;
+  sim::SimTime quantum_;
+  int left_;
+  sim::SimTime first_ = -1;
+};
+
+/// Fork ≡ replay with the cut 10 µs after a hook's first injection, inside
+/// its 30 ms quantum and the 20 µs C1E entry: both runs detach the hook at
+/// the cut (hooks are not snapshot state), and the fork restores into a
+/// fresh machine. More cpuburn threads than logical CPUs keep the run queue
+/// non-empty, so a stale pin would keep its thread off every other core.
+/// Returns the snapshot for the caller's checks on the captured state.
+MachineSnapshot expect_fork_mid_injection_matches_replay(bool suspends,
+                                                         bool smt) {
+  MachineConfig cfg = snap_config();
+  cfg.injection_suspends_thread = suspends;
+  cfg.smt_enabled = smt;
+  const std::size_t threads = (smt ? 8 : 4) + 2;
+  const sim::SimTime from = sim::from_ms(1503);
+  const sim::SimTime quantum = sim::from_ms(30);
+  const sim::SimTime end = sim::from_sec(4);
+
+  sim::SimTime cut = 0;
+  {
+    Machine probe(cfg);
+    InjectAfter hook(from, quantum, 2);
+    probe.set_injection_hook(&hook);
+    workload::CpuBurnFleet fleet(threads);
+    fleet.deploy(probe);
+    probe.run_until(from + sim::kSecond);
+    EXPECT_GE(hook.first(), from);
+    cut = hook.first() + sim::from_us(10);
+  }
+  const auto run_to_cut = [&](Machine& m, workload::CpuBurnFleet& fleet) {
+    InjectAfter hook(from, quantum, 2);
+    m.set_injection_hook(&hook);
+    fleet.deploy(m);
+    m.run_until(cut);
+    m.set_injection_hook(nullptr);
+  };
+
+  Machine replay(cfg);
+  workload::CpuBurnFleet replay_fleet(threads);
+  run_to_cut(replay, replay_fleet);
+  replay.run_until(end);
+
+  Machine builder(cfg);
+  workload::CpuBurnFleet builder_fleet(threads);
+  run_to_cut(builder, builder_fleet);
+  MachineSnapshot snap = builder.snapshot();
+
+  Machine forked(cfg);
+  workload::CpuBurnFleet forked_fleet(threads);
+  forked_fleet.deploy(forked);
+  forked.restore(snap);
+  forked.run_until(end);
+
+  expect_machines_bit_identical(replay, forked);
+  return snap;
+}
+
+TEST(MachineSnapshotTest, ForkInsideAPinnedInjectedIdleQuantumMatchesReplay) {
+  // Literal §3.1 semantics: the core runs the idle thread for the quantum
+  // with its victim pinned on the run queue. The fork must translate the
+  // victim pointer and re-arm the quantum-end timer and the C1E-entry
+  // transition in their captured places.
+  for (const bool smt : {false, true}) {
+    SCOPED_TRACE(smt ? "SMT on" : "SMT off");
+    const MachineSnapshot snap =
+        expect_fork_mid_injection_matches_replay(/*suspends=*/false, smt);
+    const auto pinned = std::find_if(
+        snap.cores.begin(), snap.cores.end(),
+        [](const MachineSnapshot::CoreSnap& c) {
+          return c.state.injected_idle && c.injection_victim != kInvalidThread;
+        });
+    ASSERT_NE(pinned, snap.cores.end());
+    EXPECT_TRUE(pinned->timer.armed);
+    EXPECT_TRUE(pinned->transition_timer.armed);
+    EXPECT_EQ(pinned->state.activity, CoreActivity::kIdleEntering);
+    EXPECT_EQ(snap.threads.at(pinned->injection_victim).state.injection_pin,
+              pinned->state.id);
+  }
+}
+
+TEST(MachineSnapshotTest, ForkWhileAThreadIsSuspendedForInjectionMatchesReplay) {
+  // Default per-thread semantics: the victim sleeps out its quantum and its
+  // resume timer, with the payload it closed over, is pending at the cut.
+  for (const bool smt : {false, true}) {
+    SCOPED_TRACE(smt ? "SMT on" : "SMT off");
+    const MachineSnapshot snap =
+        expect_fork_mid_injection_matches_replay(/*suspends=*/true, smt);
+    const auto resume = std::find_if(
+        snap.thread_timers.begin(), snap.thread_timers.end(),
+        [](const MachineSnapshot::ThreadTimerSnap& t) { return t.kind == 1; });
+    ASSERT_NE(resume, snap.thread_timers.end());
+    EXPECT_TRUE(snap.threads.at(resume->thread).state.injection_suspended);
+    EXPECT_EQ(snap.threads.at(resume->thread).state.state,
+              ThreadState::kSleeping);
+  }
 }
 
 TEST(MachineSnapshotTest, SnapshotDoesNotPerturbTheRunningMachine) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
+#include <sstream>
+#include <string>
+#include <vector>
 
 namespace dimetrodon::trace {
 namespace {
@@ -15,62 +18,70 @@ std::vector<SeriesPoint> ramp(std::size_t n) {
   return s;
 }
 
+std::vector<std::string> lines_of(const std::string& chart) {
+  std::vector<std::string> lines;
+  std::istringstream in(chart);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// The chart's columns, each as the level of its '#' (0 = bottom row), read
+/// back from an untitled chart of `height` rows: every row is a 10-character
+/// axis label followed by one character per column.
+std::vector<int> column_levels(const std::string& chart, std::size_t height) {
+  const std::vector<std::string> lines = lines_of(chart);
+  std::vector<int> levels(lines.front().size() - 10, -1);
+  for (std::size_t r = 0; r < height; ++r) {
+    for (std::size_t c = 0; c < levels.size(); ++c) {
+      if (lines[r][10 + c] == '#') levels[c] = static_cast<int>(height - 1 - r);
+    }
+  }
+  return levels;
+}
+
+/// The value on the axis label of an untitled chart's row `row`.
+double axis_label(const std::string& chart, std::size_t row) {
+  return std::stod(lines_of(chart).at(row).substr(0, 8));
+}
+
+// The chart bucket-averages a series longer than its width; these pin that
+// downsampling through the chart's columns and axis labels.
+
 TEST(DownsampleTest, ShortSeriesPassesThrough) {
-  const auto s = ramp(10);
-  const auto out = downsample(s, 20);
-  EXPECT_EQ(out.size(), 10u);
+  const auto levels = column_levels(ascii_chart(ramp(10), 20, 10), 10);
+  ASSERT_EQ(levels.size(), 10u);  // one column per point, none merged
+  for (std::size_t c = 0; c < levels.size(); ++c) {
+    EXPECT_EQ(levels[c], static_cast<int>(c));
+  }
 }
 
 TEST(DownsampleTest, ReducesToRequestedPoints) {
-  const auto out = downsample(ramp(1000), 50);
-  EXPECT_LE(out.size(), 50u);
-  EXPECT_GE(out.size(), 45u);
+  const auto levels = column_levels(ascii_chart(ramp(1000), 50, 8), 8);
+  EXPECT_LE(levels.size(), 50u);
+  EXPECT_GE(levels.size(), 45u);
 }
 
 TEST(DownsampleTest, PreservesMeanOfRamp) {
-  const auto s = ramp(1000);
-  const auto out = downsample(s, 40);
-  double sum = 0.0;
-  for (const auto& p : out) sum += p.value;
-  EXPECT_NEAR(sum / static_cast<double>(out.size()), 499.5, 15.0);
+  // 40 buckets of 25 points: the first averages 0..24 and the last
+  // 975..999, so the axis spans 12 to 987 around the ramp's mean, 499.5.
+  const std::string chart = ascii_chart(ramp(1000), 40, 6);
+  EXPECT_DOUBLE_EQ(axis_label(chart, 0), 987.0);  // top row
+  EXPECT_DOUBLE_EQ(axis_label(chart, 5), 12.0);   // bottom row
 }
 
 TEST(DownsampleTest, TimesMonotone) {
-  const auto out = downsample(ramp(1000), 37);
-  for (std::size_t i = 1; i < out.size(); ++i) {
-    EXPECT_GT(out[i].t, out[i - 1].t);
+  // Columns come out in time order, so a ramp never steps down.
+  const auto levels = column_levels(ascii_chart(ramp(1000), 37, 12), 12);
+  ASSERT_GT(levels.size(), 1u);
+  for (std::size_t c = 1; c < levels.size(); ++c) {
+    EXPECT_GE(levels[c], levels[c - 1]) << "column " << c;
   }
+  EXPECT_LT(levels.front(), levels.back());
 }
 
 TEST(DownsampleTest, DegenerateTimeSpanReturnsSinglePoint) {
   std::vector<SeriesPoint> s{{5.0, 1.0}, {5.0, 3.0}, {5.0, 9.0}};
-  const auto out = downsample(s, 2);
-  EXPECT_EQ(out.size(), 1u);
-}
-
-TEST(EmaTest, ConstantSeriesUnchanged) {
-  std::vector<SeriesPoint> s;
-  for (int i = 0; i < 100; ++i) s.push_back({0.1 * i, 7.0});
-  const auto out = ema(s, 1.0);
-  for (const auto& p : out) EXPECT_DOUBLE_EQ(p.value, 7.0);
-}
-
-TEST(EmaTest, StepResponseConvergesWithTau) {
-  // Step from 0 to 1 at t=0; after 3*tau the EMA is within 5% of 1.
-  std::vector<SeriesPoint> s;
-  for (int i = 0; i <= 400; ++i) s.push_back({0.01 * i, 1.0});
-  s.front().value = 0.0;  // seed state at 0
-  const auto out = ema(s, 1.0);
-  EXPECT_NEAR(out.back().value, 1.0, 0.05);  // t = 4 tau
-  // At t ~ tau the response is ~1 - e^-1.
-  EXPECT_NEAR(out[100].value, 1.0 - std::exp(-1.0), 0.05);
-}
-
-TEST(EmaTest, ZeroTauTracksInput) {
-  std::vector<SeriesPoint> s{{0, 1}, {1, 5}, {2, -3}};
-  const auto out = ema(s, 0.0);
-  EXPECT_DOUBLE_EQ(out[1].value, 5.0);
-  EXPECT_DOUBLE_EQ(out[2].value, -3.0);
+  EXPECT_EQ(column_levels(ascii_chart(s, 2, 4), 4).size(), 1u);
 }
 
 TEST(AsciiChartTest, RendersTitleAndAxis) {
